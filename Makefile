@@ -118,8 +118,9 @@ cluster-chaos:
 	exit $$status
 
 # Short fuzzing passes over the notification decoders, the Snoop parser,
-# and the checkpoint/journal decoders (seed corpora always run under
-# plain `make test`; this explores further).
+# the checkpoint/journal decoders, and the engine's SELECT against its
+# nested-loop reference (seed corpora always run under plain `make test`;
+# this explores further).
 fuzz:
 	$(GO) test -fuzz=FuzzParseNotification -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/agent
@@ -128,6 +129,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/snoop
+	$(GO) test -fuzz=FuzzSelectPushdown -fuzztime=10s ./internal/engine
 
 # Sharding ablation: concurrent detection throughput, single-lock vs
 # sharded LED (see EXPERIMENTS.md). BENCH_OUT parametrizes the output so

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"github.com/activedb/ecaagent/internal/agent"
+	"github.com/activedb/ecaagent/internal/catalog"
+	"github.com/activedb/ecaagent/internal/engine"
 	"github.com/activedb/ecaagent/internal/led"
 )
 
@@ -151,6 +153,7 @@ var gatedBenchNames = []string{
 	"decode_text_batch16",
 	"decode_binary_batch16",
 	"encode_binary_batch16",
+	"action_prologue_join",
 }
 
 // runGatedBenchmarks measures the gated micro-benchmark set with the
@@ -249,6 +252,8 @@ func gatedBench(name string) func(b *testing.B) {
 				}
 			}
 		}
+	case "action_prologue_join":
+		return prologueJoinBench(1000)
 	case "encode_binary_batch16":
 		return func(b *testing.B) {
 			prims := benchPrims(16)
@@ -267,6 +272,55 @@ func gatedBench(name string) func(b *testing.B) {
 		}
 	}
 	return nil
+}
+
+// prologueJoinBench runs the action procedure the agent generates for a
+// rule reading stock.inserted: the Action Handler's sysContext × shadow
+// join (§5.6), here over n shadow rows and an 8-row sysContext that
+// selects two of them. internal/engine's BenchmarkActionPrologueJoin
+// runs the same join at 100 and 1000 shadow rows.
+func prologueJoinBench(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		eng := engine.New(catalog.New())
+		eng.SetNotifier(nil)
+		s := eng.NewSession("sharma")
+		var sb strings.Builder
+		sb.WriteString("create database db\nGO\nuse db\nGO\n")
+		sb.WriteString(agent.SysTableDDL[agent.TabContext] + "\nGO\n")
+		sb.WriteString("create table stock (symbol varchar(10) not null, price float null)\nGO\n")
+		sb.WriteString("select * into db.sharma.stock_inserted from stock where 1 = 2\n" +
+			"alter table db.sharma.stock_inserted add vNo int null\nGO\n")
+		sb.WriteString("select * into db.sharma.stock_inserted_tmp from db.sharma.stock_inserted where 1 = 2\nGO\n")
+		for i := 1; i <= n; i++ {
+			fmt.Fprintf(&sb, "insert db.sharma.stock_inserted values ('S%d', %d, %d)\n", i, i, i)
+		}
+		sb.WriteString("GO\n")
+		for i := 0; i < 8; i++ {
+			table, ctx, vno := "db.sharma.stock_inserted", "RECENT", n-i
+			if i >= 2 {
+				table, ctx, vno = "db.sharma.stock_deleted", "CHRONICLE", i
+			}
+			fmt.Fprintf(&sb, "insert sysContext values ('%s', '%s', %d)\n", table, ctx, vno)
+		}
+		sb.WriteString("GO\n")
+		sb.WriteString(agent.GenActionProcSQL("db.sharma.r__Proc", "RECENT",
+			"select symbol, vNo from db.sharma.stock_inserted_tmp",
+			[]agent.ShadowRef{{Table: "db.sharma.stock", Op: "inserted"}}))
+		if _, err := s.ExecScript(sb.String()); err != nil {
+			b.Fatalf("prologue fixture: %v", err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := s.ExecBatch("execute db.sharma.r__Proc")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := len(res[len(res)-1].Rows); got != 2 {
+				b.Fatalf("context join returned %d rows, want 2", got)
+			}
+		}
+	}
 }
 
 // textDecodeBench builds a decode benchmark over one text datagram that

@@ -89,7 +89,13 @@ func (s *Session) execUpdate(st *sqlparse.Update) (*sqltypes.ResultSet, error) {
 	}
 	schema := tbl.Schema()
 	fr := newFrame(sqlparse.TableRef{Name: st.Table}, schema, s.db)
-	frames := []*frame{fr}
+	sc := newScope([]*frame{fr})
+	// Unresolvable columns are reported when a row evaluates them, so an
+	// UPDATE matching no rows still succeeds, as it always has.
+	_ = sc.bind(st.Where)
+	for _, a := range st.Set {
+		_ = sc.bind(a.Value)
+	}
 
 	// Validate SET column names up front.
 	setIdx := make([]int, len(st.Set))
@@ -105,13 +111,13 @@ func (s *Session) execUpdate(st *sqlparse.Update) (*sqltypes.ResultSet, error) {
 	old, updated, err := tbl.Update(
 		func(r sqltypes.Row) (bool, error) {
 			fr.row = r
-			return s.truthy(st.Where, frames)
+			return s.truthy(st.Where, sc)
 		},
 		func(r sqltypes.Row) (sqltypes.Row, error) {
 			fr.row = r.Clone() // assignments see pre-update values
 			out := r
 			for i, a := range st.Set {
-				v, err := s.eval(a.Value, frames)
+				v, err := s.eval(a.Value, sc)
 				if err != nil {
 					return nil, err
 				}
@@ -136,12 +142,13 @@ func (s *Session) execDelete(st *sqlparse.Delete) (*sqltypes.ResultSet, error) {
 	}
 	schema := tbl.Schema()
 	fr := newFrame(sqlparse.TableRef{Name: st.Table}, schema, s.db)
-	frames := []*frame{fr}
+	sc := newScope([]*frame{fr})
+	_ = sc.bind(st.Where) // reported per row, as in execUpdate
 
 	s.txnSaveTable(tbl)
 	removed, err := tbl.Delete(func(r sqltypes.Row) (bool, error) {
 		fr.row = r
-		return s.truthy(st.Where, frames)
+		return s.truthy(st.Where, sc)
 	})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/activedb/ecaagent/internal/sqlparse"
+	"github.com/activedb/ecaagent/internal/sqltypes"
 )
 
 func TestOrderByNullsFirst(t *testing.T) {
@@ -240,4 +243,42 @@ func TestEmptyBatchAndSemicolons(t *testing.T) {
 		t.Errorf("blank batch: %v %v", rs, err)
 	}
 	mustExec(t, s, "create table t (a int null); insert t values (1); select a from t")
+}
+
+// Rows snapshots share the stored rows, so a transaction's writes and its
+// rollback must leave every snapshot reading the values it was taken with.
+func TestRollbackLeavesSnapshotsIntact(t *testing.T) {
+	s, _ := newTestSession(t)
+	mustExec(t, s, "create table t (a int null, b varchar(5) null)")
+	mustExec(t, s, "insert t values (1, 'x') insert t values (2, 'y')")
+	tbl, err := s.resolveTable(sqlparse.ON("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() (rows, copies []sqltypes.Row) {
+		rows = tbl.Rows()
+		for _, r := range rows {
+			copies = append(copies, r.Clone())
+		}
+		return rows, copies
+	}
+	same := func(what string, got, want []sqltypes.Row) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s: row %d = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	before, wantBefore := snapshot()
+	mustExec(t, s, "begin tran update t set a = a + 10 delete t where b = 'x' insert t values (3, 'z')")
+	inside, wantInside := snapshot()
+	mustExec(t, s, "update t set b = 'w'")
+	mustExec(t, s, "rollback")
+	same("pre-transaction snapshot", before, wantBefore)
+	same("in-transaction snapshot", inside, wantInside)
+	same("table after rollback", tbl.Rows(), wantBefore)
 }

@@ -46,36 +46,151 @@ func newFrame(ref sqlparse.TableRef, schema *sqltypes.Schema, currentDB string) 
 	return &frame{qualifiers: quals, schema: schema}
 }
 
-// eval evaluates an expression. frames may be nil for standalone
-// expressions (INSERT VALUES, PRINT).
-func (s *Session) eval(e sqlparse.Expr, frames []*frame) (sqltypes.Value, error) {
+// slot locates a bound column: the value is frames[frame].row[col].
+type slot struct{ frame, col int }
+
+// scope is one statement's evaluation environment: its FROM frames and the
+// slot of every column reference the bind pass resolved against them. The
+// binding lives here, beside the AST, never inside it: procedure and
+// trigger bodies are parsed once and shared by every session running them.
+// A nil scope has no frames (INSERT VALUES, PRINT, procedure arguments).
+type scope struct {
+	frames []*frame
+	slots  map[*sqlparse.ColumnRef]slot
+}
+
+func newScope(frames []*frame) *scope {
+	return &scope{frames: frames, slots: make(map[*sqlparse.ColumnRef]slot)}
+}
+
+// load points every frame at its row of a joined source row.
+func (sc *scope) load(sr sourceRow) {
+	for i, f := range sc.frames {
+		f.row = sr[i]
+	}
+}
+
+// isVariable reports whether a column reference names a procedure
+// parameter or local variable, which is looked up at evaluation time.
+func isVariable(e *sqlparse.ColumnRef) bool { return strings.HasPrefix(e.Name, "@") }
+
+// resolve is the one column resolver: it finds the frame and column a
+// reference names, or reports why it names none.
+func (sc *scope) resolve(e *sqlparse.ColumnRef) (slot, error) {
+	var frames []*frame
+	if sc != nil {
+		frames = sc.frames
+	}
+	if len(e.Qualifier.Parts) > 0 {
+		q := strings.ToLower(e.Qualifier.String())
+		for fi, f := range frames {
+			if !f.matches(q) {
+				continue
+			}
+			if ci := f.schema.Index(e.Name); ci >= 0 {
+				return slot{fi, ci}, nil
+			}
+			return slot{}, fmt.Errorf("column %s not found in %s", e.Name, e.Qualifier)
+		}
+		return slot{}, fmt.Errorf("unknown table or alias %q", e.Qualifier)
+	}
+	// Unqualified: must match exactly one frame.
+	var found slot
+	matches := 0
+	for fi, f := range frames {
+		if ci := f.schema.Index(e.Name); ci >= 0 {
+			found = slot{fi, ci}
+			matches++
+		}
+	}
+	switch matches {
+	case 0:
+		return slot{}, fmt.Errorf("unknown column %q", e.Name)
+	case 1:
+		return found, nil
+	default:
+		return slot{}, fmt.Errorf("ambiguous column %q", e.Name)
+	}
+}
+
+// bind resolves every column reference in e, in evaluation order, and
+// returns the first resolution error. This is what reports an unknown
+// column even when a query matches zero rows, as the original server does
+// at compile time. A reference that fails to resolve stays unbound, so
+// evaluating it reports the same error.
+func (sc *scope) bind(e sqlparse.Expr) error {
+	var first error
+	visitColumnRefs(e, func(cr *sqlparse.ColumnRef) {
+		if isVariable(cr) {
+			return
+		}
+		sl, err := sc.resolve(cr)
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			return
+		}
+		sc.slots[cr] = sl
+	})
+	return first
+}
+
+// visitColumnRefs calls fn on every column reference in e, in the order
+// evaluation reaches them.
+func visitColumnRefs(e sqlparse.Expr, fn func(*sqlparse.ColumnRef)) {
+	switch e := e.(type) {
+	case *sqlparse.ColumnRef:
+		fn(e)
+	case *sqlparse.BinaryExpr:
+		visitColumnRefs(e.L, fn)
+		visitColumnRefs(e.R, fn)
+	case *sqlparse.UnaryExpr:
+		visitColumnRefs(e.E, fn)
+	case *sqlparse.FuncCall:
+		for _, a := range e.Args {
+			visitColumnRefs(a, fn)
+		}
+	case *sqlparse.IsNull:
+		visitColumnRefs(e.E, fn)
+	case *sqlparse.InList:
+		visitColumnRefs(e.E, fn)
+		for _, x := range e.List {
+			visitColumnRefs(x, fn)
+		}
+	}
+}
+
+// eval evaluates an expression. sc may be nil for standalone expressions
+// (INSERT VALUES, PRINT).
+func (s *Session) eval(e sqlparse.Expr, sc *scope) (sqltypes.Value, error) {
 	switch e := e.(type) {
 	case *sqlparse.Literal:
 		return e.Value, nil
 	case *sqlparse.ColumnRef:
-		return s.evalColumnRef(e, frames)
+		return s.evalColumnRef(e, sc)
 	case *sqlparse.BinaryExpr:
-		return s.evalBinary(e, frames)
+		return s.evalBinary(e, sc)
 	case *sqlparse.UnaryExpr:
-		return s.evalUnary(e, frames)
+		return s.evalUnary(e, sc)
 	case *sqlparse.FuncCall:
-		return s.evalFunc(e, frames)
+		return s.evalFunc(e, sc)
 	case *sqlparse.IsNull:
-		v, err := s.eval(e.E, frames)
+		v, err := s.eval(e.E, sc)
 		if err != nil {
 			return sqltypes.Null, err
 		}
 		return sqltypes.NewBit(v.IsNull() != e.Negate), nil
 	case *sqlparse.InList:
-		return s.evalInList(e, frames)
+		return s.evalInList(e, sc)
 	default:
 		return sqltypes.Null, fmt.Errorf("engine: unsupported expression %T", e)
 	}
 }
 
-func (s *Session) evalColumnRef(e *sqlparse.ColumnRef, frames []*frame) (sqltypes.Value, error) {
+func (s *Session) evalColumnRef(e *sqlparse.ColumnRef, sc *scope) (sqltypes.Value, error) {
 	// Procedure parameter / local variable.
-	if strings.HasPrefix(e.Name, "@") {
+	if isVariable(e) {
 		if s.vars != nil {
 			if v, ok := s.vars[strings.ToLower(e.Name)]; ok {
 				return v, nil
@@ -83,49 +198,28 @@ func (s *Session) evalColumnRef(e *sqlparse.ColumnRef, frames []*frame) (sqltype
 		}
 		return sqltypes.Null, fmt.Errorf("variable %s is not declared", e.Name)
 	}
-	col := strings.ToLower(e.Name)
-	if len(e.Qualifier.Parts) > 0 {
-		q := strings.ToLower(e.Qualifier.String())
-		for _, f := range frames {
-			if !f.matches(q) {
-				continue
-			}
-			if i := f.schema.Index(col); i >= 0 {
-				return f.row[i], nil
-			}
-			return sqltypes.Null, fmt.Errorf("column %s not found in %s", e.Name, e.Qualifier)
-		}
-		return sqltypes.Null, fmt.Errorf("unknown table or alias %q", e.Qualifier)
-	}
-	// Unqualified: must match exactly one frame.
-	var found sqltypes.Value
-	matches := 0
-	for _, f := range frames {
-		if i := f.schema.Index(col); i >= 0 {
-			found = f.row[i]
-			matches++
+	if sc != nil {
+		if sl, ok := sc.slots[e]; ok {
+			return sc.frames[sl.frame].row[sl.col], nil
 		}
 	}
-	switch matches {
-	case 0:
-		return sqltypes.Null, fmt.Errorf("unknown column %q", e.Name)
-	case 1:
-		return found, nil
-	default:
-		return sqltypes.Null, fmt.Errorf("ambiguous column %q", e.Name)
-	}
-}
-
-func (s *Session) evalBinary(e *sqlparse.BinaryExpr, frames []*frame) (sqltypes.Value, error) {
-	switch e.Op {
-	case sqlparse.OpAnd, sqlparse.OpOr:
-		return s.evalLogical(e, frames)
-	}
-	l, err := s.eval(e.L, frames)
+	sl, err := sc.resolve(e)
 	if err != nil {
 		return sqltypes.Null, err
 	}
-	r, err := s.eval(e.R, frames)
+	return sc.frames[sl.frame].row[sl.col], nil
+}
+
+func (s *Session) evalBinary(e *sqlparse.BinaryExpr, sc *scope) (sqltypes.Value, error) {
+	switch e.Op {
+	case sqlparse.OpAnd, sqlparse.OpOr:
+		return s.evalLogical(e, sc)
+	}
+	l, err := s.eval(e.L, sc)
+	if err != nil {
+		return sqltypes.Null, err
+	}
+	r, err := s.eval(e.R, sc)
 	if err != nil {
 		return sqltypes.Null, err
 	}
@@ -172,8 +266,8 @@ func (s *Session) evalBinary(e *sqlparse.BinaryExpr, frames []*frame) (sqltypes.
 }
 
 // evalLogical implements AND/OR with three-valued logic and shortcuts.
-func (s *Session) evalLogical(e *sqlparse.BinaryExpr, frames []*frame) (sqltypes.Value, error) {
-	l, err := s.eval(e.L, frames)
+func (s *Session) evalLogical(e *sqlparse.BinaryExpr, sc *scope) (sqltypes.Value, error) {
+	l, err := s.eval(e.L, sc)
 	if err != nil {
 		return sqltypes.Null, err
 	}
@@ -184,7 +278,7 @@ func (s *Session) evalLogical(e *sqlparse.BinaryExpr, frames []*frame) (sqltypes
 	if e.Op == sqlparse.OpOr && lknown && lb {
 		return sqltypes.NewBit(true), nil
 	}
-	r, err := s.eval(e.R, frames)
+	r, err := s.eval(e.R, sc)
 	if err != nil {
 		return sqltypes.Null, err
 	}
@@ -209,8 +303,8 @@ func (s *Session) evalLogical(e *sqlparse.BinaryExpr, frames []*frame) (sqltypes
 	}
 }
 
-func (s *Session) evalUnary(e *sqlparse.UnaryExpr, frames []*frame) (sqltypes.Value, error) {
-	v, err := s.eval(e.E, frames)
+func (s *Session) evalUnary(e *sqlparse.UnaryExpr, sc *scope) (sqltypes.Value, error) {
+	v, err := s.eval(e.E, sc)
 	if err != nil {
 		return sqltypes.Null, err
 	}
@@ -237,8 +331,8 @@ func (s *Session) evalUnary(e *sqlparse.UnaryExpr, frames []*frame) (sqltypes.Va
 	}
 }
 
-func (s *Session) evalInList(e *sqlparse.InList, frames []*frame) (sqltypes.Value, error) {
-	v, err := s.eval(e.E, frames)
+func (s *Session) evalInList(e *sqlparse.InList, sc *scope) (sqltypes.Value, error) {
+	v, err := s.eval(e.E, sc)
 	if err != nil {
 		return sqltypes.Null, err
 	}
@@ -247,7 +341,7 @@ func (s *Session) evalInList(e *sqlparse.InList, frames []*frame) (sqltypes.Valu
 	}
 	sawUnknown := false
 	for _, item := range e.List {
-		iv, err := s.eval(item, frames)
+		iv, err := s.eval(item, sc)
 		if err != nil {
 			return sqltypes.Null, err
 		}
@@ -271,13 +365,13 @@ var aggregateFuncs = map[string]bool{
 	"count": true, "sum": true, "avg": true, "min": true, "max": true,
 }
 
-func (s *Session) evalFunc(e *sqlparse.FuncCall, frames []*frame) (sqltypes.Value, error) {
+func (s *Session) evalFunc(e *sqlparse.FuncCall, sc *scope) (sqltypes.Value, error) {
 	if aggregateFuncs[e.Name] {
 		return sqltypes.Null, fmt.Errorf("aggregate %s() is not valid here", e.Name)
 	}
 	args := make([]sqltypes.Value, len(e.Args))
 	for i, a := range e.Args {
-		v, err := s.eval(a, frames)
+		v, err := s.eval(a, sc)
 		if err != nil {
 			return sqltypes.Null, err
 		}
@@ -382,82 +476,13 @@ func arity(e *sqlparse.FuncCall, args []sqltypes.Value, n int) error {
 	return nil
 }
 
-// validateColumns checks that every column reference in e resolves against
-// the given frames, so that unknown columns are reported even when a query
-// matches zero rows (as the original server does at compile time).
-func (s *Session) validateColumns(e sqlparse.Expr, frames []*frame) error {
-	switch e := e.(type) {
-	case nil, *sqlparse.Literal:
-		return nil
-	case *sqlparse.ColumnRef:
-		if strings.HasPrefix(e.Name, "@") {
-			return nil // variables are checked at evaluation time
-		}
-		col := strings.ToLower(e.Name)
-		if len(e.Qualifier.Parts) > 0 {
-			q := strings.ToLower(e.Qualifier.String())
-			for _, f := range frames {
-				if f.matches(q) {
-					if f.schema.Index(col) < 0 {
-						return fmt.Errorf("column %s not found in %s", e.Name, e.Qualifier)
-					}
-					return nil
-				}
-			}
-			return fmt.Errorf("unknown table or alias %q", e.Qualifier)
-		}
-		matches := 0
-		for _, f := range frames {
-			if f.schema.Index(col) >= 0 {
-				matches++
-			}
-		}
-		switch matches {
-		case 0:
-			return fmt.Errorf("unknown column %q", e.Name)
-		case 1:
-			return nil
-		default:
-			return fmt.Errorf("ambiguous column %q", e.Name)
-		}
-	case *sqlparse.BinaryExpr:
-		if err := s.validateColumns(e.L, frames); err != nil {
-			return err
-		}
-		return s.validateColumns(e.R, frames)
-	case *sqlparse.UnaryExpr:
-		return s.validateColumns(e.E, frames)
-	case *sqlparse.FuncCall:
-		for _, a := range e.Args {
-			if err := s.validateColumns(a, frames); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *sqlparse.IsNull:
-		return s.validateColumns(e.E, frames)
-	case *sqlparse.InList:
-		if err := s.validateColumns(e.E, frames); err != nil {
-			return err
-		}
-		for _, x := range e.List {
-			if err := s.validateColumns(x, frames); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return nil
-	}
-}
-
 // truthy evaluates a predicate expression to a definite boolean (SQL
 // unknown counts as false, as in WHERE).
-func (s *Session) truthy(e sqlparse.Expr, frames []*frame) (bool, error) {
+func (s *Session) truthy(e sqlparse.Expr, sc *scope) (bool, error) {
 	if e == nil {
 		return true, nil
 	}
-	v, err := s.eval(e, frames)
+	v, err := s.eval(e, sc)
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -77,6 +78,45 @@ func TestFromLessSelectRejectsClauses(t *testing.T) {
 	} {
 		if _, err := s.ExecScript(bad); err == nil {
 			t.Errorf("%q succeeded", bad)
+		}
+	}
+}
+
+// The bind pass is the only column resolver: every SELECT clause reports
+// its four resolution errors whether or not any row is read, WHERE first.
+func TestColumnResolverMessages(t *testing.T) {
+	s, _ := newTestSession(t)
+	mustExec(t, s, "create table full1 (a int null, b int null)")
+	mustExec(t, s, "create table empty1 (a int null, c int null)")
+	mustExec(t, s, "insert full1 values (1, 2)")
+	for _, tc := range []struct{ sql, want string }{
+		{"select nosuch from %s", `unknown column "nosuch"`},
+		{"select a from %s where nosuch = 1", `unknown column "nosuch"`},
+		{"select count(*) from %s group by nosuch", `unknown column "nosuch"`},
+		{"select count(*) from %s having max(nosuch) > 1", `unknown column "nosuch"`},
+		{"select a from %s x, full1 y", `ambiguous column "a"`},
+		{"select x.a from %s x, full1 y where a = 1", `ambiguous column "a"`},
+		{"select q.a from %s", `unknown table or alias "q"`},
+		{"select a from %s where db.sharma.q.a = 1", `unknown table or alias "db.sharma.q"`},
+		{"select x.nosuch from %s x", "column nosuch not found in x"},
+		{"select a from %s x where x.nosuch = 1", "column nosuch not found in x"},
+		{"select nosuch1 from %s where nosuch2 = 1", `unknown column "nosuch2"`},
+	} {
+		for _, table := range []string{"full1", "empty1"} {
+			sql := fmt.Sprintf(tc.sql, table)
+			_, err := s.ExecScript(sql)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s: err = %v, want %s", sql, err, tc.want)
+			}
+		}
+	}
+	// Bound and per-row resolution agree on what a qualifier may name.
+	for _, sql := range []string{
+		"select full1.a, sharma.full1.b, db.sharma.full1.a from sharma.full1",
+		"select x.a, b from full1 x where x.b = 2 and a = 1",
+	} {
+		if rows := lastRows(mustExec(t, s, sql)); len(rows) != 1 {
+			t.Errorf("%s: %d rows", sql, len(rows))
 		}
 	}
 }

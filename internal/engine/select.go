@@ -53,7 +53,6 @@ func (s *Session) runSelect(st *sqlparse.Select) (*sqltypes.ResultSet, error) {
 	}
 
 	frames := make([]*frame, len(st.From))
-	var sourceLens []int
 	sources := make([][]sqltypes.Row, len(st.From))
 	for i, ref := range st.From {
 		tbl, err := s.resolveTable(ref.Name)
@@ -62,67 +61,205 @@ func (s *Session) runSelect(st *sqlparse.Select) (*sqltypes.ResultSet, error) {
 		}
 		frames[i] = newFrame(ref, tbl.Schema(), s.db)
 		sources[i] = tbl.Rows()
-		sourceLens = append(sourceLens, len(sources[i]))
+	}
+	sc, err := bindSelect(st, frames)
+	if err != nil {
+		return nil, err
+	}
+	matched, err := s.join(st.Where, sc, sources)
+	if err != nil {
+		return nil, err
 	}
 
-	// Compile-time column validation (matters when zero rows match).
-	if err := s.validateColumns(st.Where, frames); err != nil {
+	if len(st.GroupBy) > 0 || hasAggregates(st.Items) || hasAggregateExpr(st.Having) {
+		return s.selectGrouped(st, sc, matched)
+	}
+	return s.selectPlain(st, sc, matched)
+}
+
+// bindSelect binds every clause of st against its FROM frames, reporting
+// the first unresolvable column in the order WHERE, select list, GROUP BY,
+// HAVING. ORDER BY is bound without reporting: a key may name an output
+// alias instead, and an unresolvable key fails only if the sort reaches it.
+func bindSelect(st *sqlparse.Select, frames []*frame) (*scope, error) {
+	sc := newScope(frames)
+	if err := sc.bind(st.Where); err != nil {
 		return nil, err
 	}
 	for _, item := range st.Items {
-		if !item.Star {
-			if err := s.validateColumns(item.Expr, frames); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, ge := range st.GroupBy {
-		if err := s.validateColumns(ge, frames); err != nil {
+		if err := sc.bind(item.Expr); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.validateColumns(st.Having, frames); err != nil {
+	for _, ge := range st.GroupBy {
+		if err := sc.bind(ge); err != nil {
+			return nil, err
+		}
+	}
+	if err := sc.bind(st.Having); err != nil {
 		return nil, err
 	}
+	for _, ob := range st.OrderBy {
+		_ = sc.bind(ob.Expr) // reported by orderKey, if evaluated
+	}
+	return sc, nil
+}
 
-	// Nested-loop cartesian product with WHERE filtering.
-	var matched []sourceRow
-	idx := make([]int, len(sources))
-	if !anyEmpty(sourceLens) {
-		for {
-			for i := range frames {
-				frames[i].row = sources[i][idx[i]]
-			}
-			ok, err := s.truthy(st.Where, frames)
+// join returns the combinations of the FROM sources that satisfy where, in
+// the product's row-major order. The conjuncts pushdown assigns to a frame
+// filter its source before the product is formed; only the residual is
+// evaluated per combination. sources must be the caller's own slices:
+// filtering compacts them in place.
+func (s *Session) join(where sqlparse.Expr, sc *scope, sources [][]sqltypes.Row) ([]sourceRow, error) {
+	filters, residual := pushdown(where, sc)
+	for i, conds := range filters {
+		if len(conds) == 0 {
+			continue
+		}
+		kept := sources[i][:0]
+		for _, r := range sources[i] {
+			sc.frames[i].row = r
+			ok, err := s.allTrue(conds, sc)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				sr := make(sourceRow, len(sources))
-				for i := range sources {
-					sr[i] = sources[i][idx[i]]
-				}
-				matched = append(matched, sr)
-			}
-			if !advance(idx, sourceLens) {
-				break
+				kept = append(kept, r)
 			}
 		}
+		sources[i] = kept
 	}
 
-	if len(st.GroupBy) > 0 || hasAggregates(st.Items) || hasAggregateExpr(st.Having) {
-		return s.selectGrouped(st, frames, matched)
+	lens := make([]int, len(sources))
+	for i, src := range sources {
+		if len(src) == 0 {
+			return nil, nil
+		}
+		lens[i] = len(src)
 	}
-	return s.selectPlain(st, frames, matched)
+	var matched []sourceRow
+	idx := make([]int, len(sources))
+	for {
+		for i, f := range sc.frames {
+			f.row = sources[i][idx[i]]
+		}
+		ok, err := s.allTrue(residual, sc)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			sr := make(sourceRow, len(sources))
+			for i, f := range sc.frames {
+				sr[i] = f.row
+			}
+			matched = append(matched, sr)
+		}
+		if !advance(idx, lens) {
+			return matched, nil
+		}
+	}
 }
 
-func anyEmpty(lens []int) bool {
-	for _, n := range lens {
-		if n == 0 {
-			return true
+// pushdown splits where into its top-level AND conjuncts and assigns each
+// one that reads at most one frame to that frame's filter (a constant
+// conjunct goes to frame 0); the rest form the residual. It does so only
+// when every conjunct is error-free: such a conjunct cannot fail, so
+// evaluating it earlier, later or on fewer rows than the nested loop would
+// changes neither the rows returned nor whether the query fails. With any
+// other conjunct present, the residual is the whole WHERE, evaluated in
+// the nested loop's order so that the same error surfaces first.
+func pushdown(where sqlparse.Expr, sc *scope) (filters [][]sqlparse.Expr, residual []sqlparse.Expr) {
+	conjuncts := splitAnd(where, nil)
+	for _, c := range conjuncts {
+		if !errorFree(c, sc) {
+			return nil, []sqlparse.Expr{where}
 		}
 	}
-	return false
+	filters = make([][]sqlparse.Expr, len(sc.frames))
+	for _, c := range conjuncts {
+		if f := readsFrame(c, sc); f >= 0 {
+			filters[f] = append(filters[f], c)
+		} else {
+			residual = append(residual, c)
+		}
+	}
+	return filters, residual
+}
+
+// splitAnd appends the top-level AND conjuncts of e to out.
+func splitAnd(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
+	if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == sqlparse.OpAnd {
+		return splitAnd(b.R, splitAnd(b.L, out))
+	}
+	if e == nil {
+		return out
+	}
+	return append(out, e)
+}
+
+// errorFree reports whether evaluating e can never fail: comparisons, LIKE,
+// IS NULL, IN lists and AND/OR/NOT over bound columns and literals.
+// Variables, arithmetic, negation and function calls can fail.
+func errorFree(e sqlparse.Expr, sc *scope) bool {
+	switch e := e.(type) {
+	case *sqlparse.Literal:
+		return true
+	case *sqlparse.ColumnRef:
+		_, bound := sc.slots[e]
+		return bound
+	case *sqlparse.BinaryExpr:
+		switch e.Op {
+		case sqlparse.OpAnd, sqlparse.OpOr, sqlparse.OpLike,
+			sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
+			return errorFree(e.L, sc) && errorFree(e.R, sc)
+		}
+		return false
+	case *sqlparse.UnaryExpr:
+		return e.Op == "not" && errorFree(e.E, sc)
+	case *sqlparse.IsNull:
+		return errorFree(e.E, sc)
+	case *sqlparse.InList:
+		if !errorFree(e.E, sc) {
+			return false
+		}
+		for _, x := range e.List {
+			if !errorFree(x, sc) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
+}
+
+// readsFrame returns the frame a bound expression reads, 0 when it reads
+// none, or -1 when it reads more than one.
+func readsFrame(e sqlparse.Expr, sc *scope) int {
+	frame, several := -1, false
+	visitColumnRefs(e, func(cr *sqlparse.ColumnRef) {
+		fi := sc.slots[cr].frame
+		several = several || (frame >= 0 && fi != frame)
+		frame = fi
+	})
+	switch {
+	case several:
+		return -1
+	case frame < 0:
+		return 0
+	default:
+		return frame
+	}
+}
+
+// allTrue reports whether every predicate in conds is true.
+func (s *Session) allTrue(conds []sqlparse.Expr, sc *scope) (bool, error) {
+	for _, c := range conds {
+		if ok, err := s.truthy(c, sc); err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // advance increments a mixed-radix counter; false when it wraps.
@@ -256,8 +393,8 @@ func projectionSchema(projs []projection, frames []*frame, firstRow sqltypes.Row
 	return schema
 }
 
-func (s *Session) selectPlain(st *sqlparse.Select, frames []*frame, matched []sourceRow) (*sqltypes.ResultSet, error) {
-	projs, err := s.buildProjections(st, frames)
+func (s *Session) selectPlain(st *sqlparse.Select, sc *scope, matched []sourceRow) (*sqltypes.ResultSet, error) {
+	projs, err := s.buildProjections(st, sc.frames)
 	if err != nil {
 		return nil, err
 	}
@@ -267,16 +404,14 @@ func (s *Session) selectPlain(st *sqlparse.Select, frames []*frame, matched []so
 	}
 	var out []outRow
 	for _, sr := range matched {
-		for i := range frames {
-			frames[i].row = sr[i]
-		}
+		sc.load(sr)
 		row := make(sqltypes.Row, len(projs))
 		for i, p := range projs {
 			if p.expr == nil {
 				row[i] = sr[p.frameIdx][p.colIdx]
 				continue
 			}
-			v, err := s.eval(p.expr, frames)
+			v, err := s.eval(p.expr, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -291,12 +426,12 @@ func (s *Session) selectPlain(st *sqlparse.Select, frames []*frame, matched []so
 		var sortErr error
 		sort.SliceStable(out, func(a, b int) bool {
 			for _, ob := range st.OrderBy {
-				va, err := s.orderKey(ob.Expr, frames, out[a].src, out[a].row, projs)
+				va, err := s.orderKey(ob.Expr, sc, out[a].src, out[a].row, projs)
 				if err != nil {
 					sortErr = err
 					return false
 				}
-				vb, err := s.orderKey(ob.Expr, frames, out[b].src, out[b].row, projs)
+				vb, err := s.orderKey(ob.Expr, sc, out[b].src, out[b].row, projs)
 				if err != nil {
 					sortErr = err
 					return false
@@ -339,12 +474,12 @@ func (s *Session) selectPlain(st *sqlparse.Select, frames []*frame, matched []so
 	if len(rows) > 0 {
 		first = rows[0]
 	}
-	return &sqltypes.ResultSet{Schema: projectionSchema(projs, frames, first), Rows: rows}, nil
+	return &sqltypes.ResultSet{Schema: projectionSchema(projs, sc.frames, first), Rows: rows}, nil
 }
 
 // orderKey evaluates an ORDER BY expression: output alias reference first,
 // then source-row evaluation.
-func (s *Session) orderKey(e sqlparse.Expr, frames []*frame, src sourceRow, out sqltypes.Row, projs []projection) (sqltypes.Value, error) {
+func (s *Session) orderKey(e sqlparse.Expr, sc *scope, src sourceRow, out sqltypes.Row, projs []projection) (sqltypes.Value, error) {
 	if cr, ok := e.(*sqlparse.ColumnRef); ok && len(cr.Qualifier.Parts) == 0 {
 		for i, p := range projs {
 			if strings.EqualFold(p.name, cr.Name) {
@@ -352,10 +487,8 @@ func (s *Session) orderKey(e sqlparse.Expr, frames []*frame, src sourceRow, out 
 			}
 		}
 	}
-	for i := range frames {
-		frames[i].row = src[i]
-	}
-	return s.eval(e, frames)
+	sc.load(src)
+	return s.eval(e, sc)
 }
 
 func distinctRows(rows []sqltypes.Row) []sqltypes.Row {
@@ -422,7 +555,7 @@ func hasAggregateExpr(e sqlparse.Expr) bool {
 	return false
 }
 
-func (s *Session) selectGrouped(st *sqlparse.Select, frames []*frame, matched []sourceRow) (*sqltypes.ResultSet, error) {
+func (s *Session) selectGrouped(st *sqlparse.Select, sc *scope, matched []sourceRow) (*sqltypes.ResultSet, error) {
 	if hasStarItems(st.Items) {
 		return nil, fmt.Errorf("SELECT * cannot be combined with aggregates")
 	}
@@ -430,14 +563,12 @@ func (s *Session) selectGrouped(st *sqlparse.Select, frames []*frame, matched []
 	groups := make(map[string][]sourceRow)
 	var order []string
 	for _, sr := range matched {
-		for i := range frames {
-			frames[i].row = sr[i]
-		}
+		sc.load(sr)
 		var key string
 		if len(st.GroupBy) > 0 {
 			keys := make([]string, len(st.GroupBy))
 			for i, ge := range st.GroupBy {
-				v, err := s.eval(ge, frames)
+				v, err := s.eval(ge, sc)
 				if err != nil {
 					return nil, err
 				}
@@ -467,7 +598,7 @@ func (s *Session) selectGrouped(st *sqlparse.Select, frames []*frame, matched []
 	for _, key := range order {
 		group := groups[key]
 		if st.Having != nil {
-			hv, err := s.evalAggExpr(st.Having, frames, group)
+			hv, err := s.evalAggExpr(st.Having, sc, group)
 			if err != nil {
 				return nil, err
 			}
@@ -478,7 +609,7 @@ func (s *Session) selectGrouped(st *sqlparse.Select, frames []*frame, matched []
 		}
 		row := make(sqltypes.Row, len(st.Items))
 		for i, item := range st.Items {
-			v, err := s.evalAggExpr(item.Expr, frames, group)
+			v, err := s.evalAggExpr(item.Expr, sc, group)
 			if err != nil {
 				return nil, err
 			}
@@ -538,11 +669,11 @@ func hasStarItems(items []sqlparse.SelectItem) bool {
 // evalAggExpr evaluates an expression over a group: aggregate calls are
 // computed across the group's rows; everything else is evaluated on the
 // group's first row.
-func (s *Session) evalAggExpr(e sqlparse.Expr, frames []*frame, group []sourceRow) (sqltypes.Value, error) {
+func (s *Session) evalAggExpr(e sqlparse.Expr, sc *scope, group []sourceRow) (sqltypes.Value, error) {
 	switch e := e.(type) {
 	case *sqlparse.FuncCall:
 		if aggregateFuncs[e.Name] {
-			return s.computeAggregate(e, frames, group)
+			return s.computeAggregate(e, sc, group)
 		}
 		if hasAggregateExpr(e) {
 			// A scalar function over aggregate results, e.g. abs(-sum(a)):
@@ -550,7 +681,7 @@ func (s *Session) evalAggExpr(e sqlparse.Expr, frames []*frame, group []sourceRo
 			// function to the resulting constants.
 			args := make([]sqlparse.Expr, len(e.Args))
 			for i, a := range e.Args {
-				v, err := s.evalAggExpr(a, frames, group)
+				v, err := s.evalAggExpr(a, sc, group)
 				if err != nil {
 					return sqltypes.Null, err
 				}
@@ -560,11 +691,11 @@ func (s *Session) evalAggExpr(e sqlparse.Expr, frames []*frame, group []sourceRo
 		}
 	case *sqlparse.BinaryExpr:
 		if hasAggregateExpr(e) {
-			l, err := s.evalAggExpr(e.L, frames, group)
+			l, err := s.evalAggExpr(e.L, sc, group)
 			if err != nil {
 				return sqltypes.Null, err
 			}
-			r, err := s.evalAggExpr(e.R, frames, group)
+			r, err := s.evalAggExpr(e.R, sc, group)
 			if err != nil {
 				return sqltypes.Null, err
 			}
@@ -573,7 +704,7 @@ func (s *Session) evalAggExpr(e sqlparse.Expr, frames []*frame, group []sourceRo
 		}
 	case *sqlparse.UnaryExpr:
 		if hasAggregateExpr(e) {
-			v, err := s.evalAggExpr(e.E, frames, group)
+			v, err := s.evalAggExpr(e.E, sc, group)
 			if err != nil {
 				return sqltypes.Null, err
 			}
@@ -584,13 +715,11 @@ func (s *Session) evalAggExpr(e sqlparse.Expr, frames []*frame, group []sourceRo
 	if len(group) == 0 {
 		return sqltypes.Null, nil
 	}
-	for i := range frames {
-		frames[i].row = group[0][i]
-	}
-	return s.eval(e, frames)
+	sc.load(group[0])
+	return s.eval(e, sc)
 }
 
-func (s *Session) computeAggregate(e *sqlparse.FuncCall, frames []*frame, group []sourceRow) (sqltypes.Value, error) {
+func (s *Session) computeAggregate(e *sqlparse.FuncCall, sc *scope, group []sourceRow) (sqltypes.Value, error) {
 	if e.Name == "count" && e.Star {
 		return sqltypes.NewInt(int64(len(group))), nil
 	}
@@ -599,10 +728,8 @@ func (s *Session) computeAggregate(e *sqlparse.FuncCall, frames []*frame, group 
 	}
 	var values []sqltypes.Value
 	for _, sr := range group {
-		for i := range frames {
-			frames[i].row = sr[i]
-		}
-		v, err := s.eval(e.Args[0], frames)
+		sc.load(sr)
+		v, err := s.eval(e.Args[0], sc)
 		if err != nil {
 			return sqltypes.Null, err
 		}

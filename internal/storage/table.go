@@ -13,6 +13,15 @@ import (
 
 // Table is a heap of rows with a schema. All methods are safe for
 // concurrent use.
+//
+// A stored row is immutable: no method writes into a row once it is
+// stored. Update replaces a row's slot with a new row, Delete and
+// ReplaceAll swap in a new slice, and AddColumn appends past the end of
+// each row into a new row header. Rows, Scan and the Update/Delete
+// predicates therefore hand out the stored rows themselves, copying only
+// the outer slice. Their callers must not modify those rows; a snapshot
+// taken from Rows keeps reading its old values whatever the table does
+// afterwards.
 type Table struct {
 	mu     sync.RWMutex
 	schema *sqltypes.Schema
@@ -92,33 +101,32 @@ func (t *Table) prepareRowLocked(row sqltypes.Row) (sqltypes.Row, error) {
 }
 
 // Scan calls fn for every row, stopping early if fn returns false. The
-// callback receives a clone and may retain it. The read lock is held for
-// the duration of the scan (Update rewrites row slots in place), so fn
-// must not call methods of the same table.
+// callback receives the stored row: it may retain it but must not modify
+// it. The read lock is held for the duration of the scan, so fn must not
+// call methods of the same table.
 func (t *Table) Scan(fn func(row sqltypes.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, r := range t.rows {
-		if !fn(r.Clone()) {
+		if !fn(r) {
 			return
 		}
 	}
 }
 
-// Rows returns a deep copy of all rows.
+// Rows returns a snapshot of all rows: a new slice of the stored rows,
+// which the caller must not modify.
 func (t *Table) Rows() []sqltypes.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]sqltypes.Row, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r.Clone()
-	}
-	return out
+	return append([]sqltypes.Row(nil), t.rows...)
 }
 
 // Update rewrites every row matching pred with the result of set, returning
 // the old and new images of the affected rows (the engine feeds these to
-// the trigger machinery as the deleted/inserted pseudo-tables).
+// the trigger machinery as the deleted/inserted pseudo-tables). pred
+// receives the stored row and must not modify it; set receives a copy it
+// may modify and return.
 func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -128,7 +136,7 @@ func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.
 	}
 	var changes []change
 	for i, r := range t.rows {
-		match, err := pred(r.Clone())
+		match, err := pred(r)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -148,19 +156,20 @@ func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.
 	for _, c := range changes {
 		old = append(old, t.rows[c.idx])
 		t.rows[c.idx] = c.row
-		new = append(new, c.row.Clone())
+		new = append(new, c.row)
 	}
 	return old, new, nil
 }
 
-// Delete removes every row matching pred, returning the removed rows.
+// Delete removes every row matching pred, returning the removed rows. pred
+// receives the stored row and must not modify it.
 func (t *Table) Delete(pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var removed []sqltypes.Row
 	kept := make([]sqltypes.Row, 0, len(t.rows))
 	for _, r := range t.rows {
-		match, err := pred(r.Clone())
+		match, err := pred(r)
 		if err != nil {
 			// kept is a fresh slice, so the table is untouched on error.
 			return nil, err

@@ -329,3 +329,52 @@ func TestSnapshotPropertyRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The immutability contract: a Rows snapshot shares the stored rows, and
+// still reads its old values after every kind of write to the table.
+func TestRowsSnapshotSurvivesWrites(t *testing.T) {
+	tbl := NewTable(stockSchema())
+	for i := 0; i < 3; i++ {
+		if err := tbl.Insert(row(fmt.Sprintf("S%d", i), float64(i), int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, op := range []struct {
+		name  string
+		write func() error
+	}{
+		{"Update", func() error {
+			_, _, err := tbl.Update(
+				func(r sqltypes.Row) (bool, error) { return true, nil },
+				func(r sqltypes.Row) (sqltypes.Row, error) {
+					r[1] = sqltypes.NewFloat(r[1].Float() + 100)
+					return r, nil
+				})
+			return err
+		}},
+		{"Delete", func() error {
+			_, err := tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[2].Int() == 1, nil })
+			return err
+		}},
+		{"AddColumn", func() error {
+			return tbl.AddColumn(sqltypes.Column{Name: "vNo", Type: sqltypes.Int, Nullable: true})
+		}},
+		{"ReplaceAll", func() error {
+			return tbl.ReplaceAll([]sqltypes.Row{{sqltypes.NewString("Z"), sqltypes.Null, sqltypes.Null, sqltypes.NewInt(9)}})
+		}},
+	} {
+		snap := tbl.Rows()
+		want := make([]sqltypes.Row, len(snap))
+		for i, r := range snap {
+			want[i] = r.Clone()
+		}
+		if err := op.write(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		for i := range want {
+			if len(snap[i]) != len(want[i]) || !snap[i].Equal(want[i]) {
+				t.Fatalf("after %s: snapshot row %d = %v, want %v", op.name, i, snap[i], want[i])
+			}
+		}
+	}
+}
