@@ -1,15 +1,16 @@
 GO ?= go
 ECAVET := bin/ecavet
 
-.PHONY: check fmt vet lint lint-fix-check waivers build test race differential cep-differential crash-suite cluster-chaos fuzz bench-json bench-matrix bench-gate metrics-smoke
+.PHONY: check fmt vet lint lint-fix-check waivers build test race differential cep-differential crash-suite cluster-chaos action-lanes fuzz bench-json bench-matrix bench-gate metrics-smoke
 
 # The full pre-merge gate: static checks (including the ecavet invariant
 # suite and the waiver-count ratchet), a clean build, the entire test
 # suite under the race detector, an explicit pass over the sharded-LED
 # differential equivalence suite, the crash-recovery differential matrix,
-# the cluster failover chaos suite (all under -race), and the
-# perf-regression gate against the committed BENCH_PR7.json baseline.
-check: fmt vet lint lint-fix-check build race differential cep-differential crash-suite cluster-chaos bench-gate
+# the cluster failover chaos suite, the action-lane ordering tests (all
+# under -race), and the perf-regression gate against the committed
+# BENCH_PR7.json baseline.
+check: fmt vet lint lint-fix-check build race differential cep-differential crash-suite cluster-chaos action-lanes bench-gate
 
 # gofmt -l prints nonconforming files; any output fails the gate. The
 # second check is waiver hygiene: every //ecavet:allow needs an analyzer
@@ -116,6 +117,14 @@ cluster-chaos:
 	if [ "$$status" != 0 ] && [ -n "$(CHAOS_SEED)" ]; then \
 		echo "cluster-chaos failed under CHAOS_SEED=$(CHAOS_SEED)"; fi; \
 	exit $$status
+
+# The Action Handler's per-table lanes (DESIGN.md §14): disjoint tables
+# run concurrently, a composite waits on every table it names, the lane
+# map drains, the connection pool stays within its limit, a restarted
+# agent recomputes identical lanes, and one event's rules keep priority
+# order — each repeated 20 times under -race to shake out interleavings.
+action-lanes:
+	$(GO) test -race -count=20 -run 'TestActionLanes|TestMultipleTriggersOnOneEvent' ./internal/agent
 
 # Short fuzzing passes over the notification decoders, the Snoop parser,
 # the checkpoint/journal decoders, and the engine's SELECT against its

@@ -424,9 +424,9 @@ func figure16(w io.Writer) error {
 			return fmt.Errorf("setup %d: %w", i, err)
 		}
 	}
-	fmt.Fprintln(w, "Action Handler (Figure 16): one goroutine per SybaseAction call, FIFO")
-	fmt.Fprintln(w, "tickets preserve priority order; each invokes its stored procedure")
-	fmt.Fprintln(w, "through the gateway's upstream connection.")
+	fmt.Fprintln(w, "Action Handler (Figure 16): one goroutine per SybaseAction call. Actions")
+	fmt.Fprintln(w, "on the same tables queue on per-table lanes in priority order; actions on")
+	fmt.Fprintln(w, "unrelated tables run concurrently, each on a pooled upstream connection.")
 	if _, err := r.cs.Exec("insert stock values ('X', 1)"); err != nil {
 		return err
 	}

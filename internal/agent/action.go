@@ -2,10 +2,12 @@ package agent
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 
 	"github.com/activedb/ecaagent/internal/led"
+	"github.com/activedb/ecaagent/internal/obs"
 	"github.com/activedb/ecaagent/internal/sqltypes"
 )
 
@@ -32,30 +34,84 @@ type ActionResult struct {
 }
 
 // actionHandler implements Figure 16: each detected occurrence invokes the
-// rule's stored procedure through its own upstream connection. sysContext
-// population and procedure execution are serialized (the paper shares one
-// sysContext table per database, so two concurrent materializations of the
-// same (table, context) pair would trample each other).
+// rule's stored procedure through its own upstream connection, taken from
+// a small pool. The pool never decides order — the agent's per-table lanes
+// (Agent.takeLanes) do that before an action asks for a connection — it
+// only bounds how many actions execute at once.
 type actionHandler struct {
-	up Upstream
+	// mk builds the i-th pooled upstream; it dials on its first Exec.
+	mk    func(i int) Upstream
+	limit int
+	conns *obs.Gauge // upstreams built so far (eca_action_conns)
+
+	mu     sync.Mutex
+	cond   sync.Cond  // signalled on release and close
+	all    []Upstream // every upstream built, for close; guarded by mu
+	idle   []Upstream // stack, so the warmest connection is reused first; guarded by mu
+	closed bool       // guarded by mu
 }
 
-// newActionHandler takes ownership of an already-built upstream; the agent
-// hands it a retry-wrapped connection so a broken connection is redialed
-// instead of disabling every rule action.
-func newActionHandler(up Upstream) *actionHandler {
-	return &actionHandler{up: up}
+// newActionHandler builds a pool of at most limit upstreams, created on
+// demand through mk (the agent hands it retry-wrapped connections so a
+// broken connection is redialed instead of disabling rule actions).
+func newActionHandler(mk func(i int) Upstream, limit int, conns *obs.Gauge) *actionHandler {
+	h := &actionHandler{mk: mk, limit: limit, conns: conns}
+	h.cond.L = &h.mu
+	return h
 }
 
-func (h *actionHandler) close() { h.up.Close() }
+// acquire takes an idle upstream, builds a new one while the pool is
+// under its limit, or waits for a release. It fails once the pool closed.
+func (h *actionHandler) acquire() (Upstream, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for {
+		if h.closed {
+			return nil, net.ErrClosed
+		}
+		if n := len(h.idle); n > 0 {
+			up := h.idle[n-1]
+			h.idle = h.idle[:n-1]
+			return up, nil
+		}
+		if len(h.all) < h.limit {
+			up := h.mk(len(h.all))
+			h.all = append(h.all, up)
+			h.conns.Set(int64(len(h.all)))
+			return up, nil
+		}
+		h.cond.Wait()
+	}
+}
+
+func (h *actionHandler) release(up Upstream) {
+	h.mu.Lock()
+	h.idle = append(h.idle, up)
+	h.mu.Unlock()
+	h.cond.Signal()
+}
+
+// close closes every pooled upstream, including ones an abandoned action
+// is still executing on, and fails pending and future acquires.
+func (h *actionHandler) close() {
+	h.mu.Lock()
+	h.closed = true
+	all := h.all
+	h.mu.Unlock()
+	h.cond.Broadcast()
+	for _, up := range all {
+		up.Close()
+	}
+}
 
 // invoke materializes the occurrence's parameter context into sysContext
-// (§5.6's four steps) and executes the action procedure. It returns the
-// informational messages the action produced.
+// (§5.6's four steps) and executes the action procedure on up. It returns
+// the informational messages the action produced.
 //
-// The caller (Agent.runAction) holds the agent's action mutex, making the
-// populate + execute pair atomic with respect to other actions.
-func (h *actionHandler) invoke(p ActionParam, occ *led.Occ) ([]*sqltypes.ResultSet, []string, error) {
+// The caller (Agent.runAction) holds the action's lane tickets, so no
+// other action touching the same tables — the same sysContext rows and
+// _tmp tables — runs between the populate and the execute.
+func (h *actionHandler) invoke(up Upstream, p ActionParam, occ *led.Occ) ([]*sqltypes.ResultSet, []string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "use %s\n", p.DB)
 
@@ -113,7 +169,7 @@ func (h *actionHandler) invoke(p ActionParam, occ *led.Occ) ([]*sqltypes.ResultS
 	// runs the user action.
 	fmt.Fprintf(&b, "execute %s", p.StoreProc)
 
-	results, err := h.up.Exec(b.String())
+	results, err := up.Exec(b.String())
 	var msgs []string
 	for _, rs := range results {
 		msgs = append(msgs, rs.Messages...)

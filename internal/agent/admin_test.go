@@ -139,13 +139,17 @@ func TestAdminEndpointsUnderChaos(t *testing.T) {
 	if recovered := metricTotal(t, exposition, "eca_occurrences_recovered_total"); recovered == 0 {
 		t.Error("recovery engaged but eca_occurrences_recovered_total = 0")
 	}
-	for _, h := range []string{"eca_detect_latency_seconds", "eca_action_latency_seconds", "eca_gateway_batch_seconds"} {
+	for _, h := range []string{"eca_detect_latency_seconds", "eca_action_latency_seconds", "eca_action_wait_seconds", "eca_gateway_batch_seconds"} {
 		if count := metricTotal(t, exposition, h+"_count"); count == 0 {
 			t.Errorf("histogram %s empty", h)
 		}
 		if buckets := metricTotal(t, exposition, h+"_bucket"); buckets == 0 {
 			t.Errorf("histogram %s has no bucket lines", h)
 		}
+	}
+
+	if conns := metricTotal(t, exposition, "eca_action_conns"); conns < 1 {
+		t.Errorf("eca_action_conns = %v after %d actions, want at least 1", conns, n)
 	}
 
 	// /stats: same counters through the JSON surface.

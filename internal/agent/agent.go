@@ -16,6 +16,7 @@ import (
 	"github.com/activedb/ecaagent/internal/obs"
 	"github.com/activedb/ecaagent/internal/snoop"
 	"github.com/activedb/ecaagent/internal/sqlparse"
+	"github.com/activedb/ecaagent/internal/sqltypes"
 )
 
 // Config configures an Agent.
@@ -112,6 +113,9 @@ type triggerInfo struct {
 	Coupling led.Coupling
 	Context  led.Context
 	Priority int
+	// Lanes is the rule's lane set (DESIGN.md §14), fixed when the rule is
+	// wired into the LED.
+	Lanes []string
 }
 
 // Agent is the ECA agent: a mediator that adds full active-database
@@ -136,11 +140,13 @@ type Agent struct {
 	// enforcing one primitive event per native trigger slot.
 	nativeByTableOp map[string]string
 
-	// actionMu guards actionTail; actions themselves run on goroutines
-	// chained FIFO through tail tickets, so sysContext population + action
-	// execution pairs are serialized *in detection (priority) order*.
-	actionMu   sync.Mutex
-	actionTail chan struct{}
+	// laneTail maps each lane (a lower-cased internal table name) to the
+	// done channel of the last action queued on it. Actions sharing a lane
+	// run one at a time in detection (priority) order; actions on disjoint
+	// lanes run concurrently. Entries are deleted when their last holder
+	// finishes.
+	actionMu sync.Mutex
+	laneTail map[string]chan struct{} // guarded by actionMu
 	// actionWG tracks in-flight rule actions.
 	actionWG sync.WaitGroup
 	// ActionDone receives a report for every completed rule action.
@@ -214,6 +220,7 @@ func New(cfg Config) (*Agent, error) {
 		events:          make(map[string]*eventInfo),
 		triggers:        make(map[string]*triggerInfo),
 		nativeByTableOp: make(map[string]string),
+		laneTail:        make(map[string]chan struct{}),
 		ActionDone:      make(chan ActionResult, cfg.ActionBuffer),
 		ready:           make(chan struct{}),
 		stopCh:          make(chan struct{}),
@@ -261,7 +268,10 @@ func New(cfg Config) (*Agent, error) {
 		return nil, err
 	}
 	a.pm = pm
-	a.actions = newActionHandler(mkRetry(1))
+	// Pooled action upstreams take the odd seed offsets, so no two of the
+	// agent's connections share a jitter sequence.
+	a.actions = newActionHandler(func(i int) Upstream { return mkRetry(int64(1 + 2*i)) },
+		2*runtime.GOMAXPROCS(0), a.met.actionConns)
 	a.recUp = mkRetry(2)
 	if cfg.NotifyAddr != "-" {
 		n, err := startNotifier(a, cfg.NotifyAddr)
@@ -730,7 +740,7 @@ func (a *Agent) installRule(db, user, trigName, eventName string, def *TriggerDe
 		Name: trigName, DB: db, User: user, Event: eventName, Proc: procName,
 		Coupling: def.Coupling, Context: def.Context, Priority: def.Priority,
 	}
-	if err := a.addLEDRule(info); err != nil {
+	if err := a.addLEDRule(info, shadows); err != nil {
 		// Roll the procedure back so a retry is possible.
 		_, _ = a.pm.exec(useDB + "drop procedure " + procName)
 		return nil, err
@@ -745,14 +755,11 @@ func (a *Agent) installRule(db, user, trigName, eventName string, def *TriggerDe
 
 // addLEDRule wires a trigger's rule into the LED; its action is the
 // SybaseAction analog: spawn a handler that materializes the context and
-// executes the stored procedure (Figure 16).
-func (a *Agent) addLEDRule(info *triggerInfo) error {
-	param := ActionParam{
-		StoreProc: info.Proc,
-		EventName: info.Event,
-		Context:   info.Context,
-		DB:        info.DB,
-	}
+// executes the stored procedure (Figure 16). shadows are the tables the
+// action reads as X.inserted / X.deleted; with the event's tables they
+// fix the rule's lane set. Caller holds a.mu.
+func (a *Agent) addLEDRule(info *triggerInfo, shadows []ShadowRef) error {
+	info.Lanes = a.ruleLanesLocked(info.Event, shadows)
 	return a.led.AddRule(&led.Rule{
 		Name:     info.Name,
 		Event:    info.Event,
@@ -778,37 +785,128 @@ func (a *Agent) addLEDRule(info *triggerInfo) error {
 					return
 				}
 			}
-			a.actionWG.Add(1)
-			enqueued := a.clock.Now()
-			// FIFO ticket: this action starts only after the previous one
-			// finished, preserving priority order across goroutines.
-			a.actionMu.Lock()
-			prev := a.actionTail
-			done := make(chan struct{})
-			a.actionTail = done
-			a.actionMu.Unlock()
-			go a.runAction(info.Name, param, occ, enqueued, prev, done, key)
+			a.launchAction(info, occ, a.clock.Now(), key)
 		},
 	})
 }
 
+// ruleLanesLocked computes a rule's lane set: every base table its event
+// expression names (through nested composites), plus every table its
+// action reads as X.inserted / X.deleted. Two actions with disjoint lane
+// sets touch disjoint sysContext rows and _tmp tables, so they may run in
+// either order (DESIGN.md §14). Rules that name no table share the ""
+// lane. The result is sorted. Caller holds a.mu.
+func (a *Agent) ruleLanesLocked(event string, shadows []ShadowRef) []string {
+	set := make(map[string]bool)
+	seen := make(map[string]bool)
+	var visit func(name string)
+	visit = func(name string) {
+		ev := a.events[name]
+		if ev == nil || seen[name] {
+			return
+		}
+		seen[name] = true
+		if ev.Primitive {
+			set[strings.ToLower(ev.Table)] = true
+			return
+		}
+		expr, err := snoop.Parse(ev.Expr)
+		if err != nil {
+			return // defined events always parse; the rule keeps its other lanes
+		}
+		snoop.Walk(expr, func(e snoop.Expr) {
+			if ref, ok := e.(*snoop.EventRef); ok {
+				visit(ref.Name)
+			}
+		})
+	}
+	visit(event)
+	for _, sr := range shadows {
+		set[strings.ToLower(sr.Table)] = true
+	}
+	if len(set) == 0 {
+		return []string{""}
+	}
+	lanes := make([]string, 0, len(set))
+	for l := range set {
+		lanes = append(lanes, l)
+	}
+	sort.Strings(lanes)
+	return lanes
+}
+
+// laneTicket is one action's place on its lanes: it may start once every
+// channel in wait is closed, and it closes done when it finishes.
+type laneTicket struct {
+	lanes []string
+	wait  []chan struct{}
+	done  chan struct{}
+}
+
+// takeLanes queues an action on every lane in its set in one step under
+// actionMu. Taking all tickets atomically orders any two actions the same
+// way on every lane they share, so the waits can never form a cycle.
+func (a *Agent) takeLanes(lanes []string) laneTicket {
+	t := laneTicket{lanes: lanes, done: make(chan struct{})}
+	a.actionMu.Lock()
+	for _, l := range lanes {
+		if prev := a.laneTail[l]; prev != nil {
+			t.wait = append(t.wait, prev)
+		}
+		a.laneTail[l] = t.done
+	}
+	a.actionMu.Unlock()
+	return t
+}
+
+// releaseLanes lets the next action on each lane start, and forgets the
+// lanes nobody queued on since, so the map holds only busy lanes.
+func (a *Agent) releaseLanes(t laneTicket) {
+	a.actionMu.Lock()
+	for _, l := range t.lanes {
+		if a.laneTail[l] == t.done {
+			delete(a.laneTail, l)
+		}
+	}
+	a.actionMu.Unlock()
+	close(t.done)
+}
+
+// launchAction queues one firing of info's rule on the rule's lanes and
+// runs it on its own goroutine. Live detection and durable resume both
+// come through here, so both keep the same order.
+func (a *Agent) launchAction(info *triggerInfo, occ *led.Occ, enqueued time.Time, key string) {
+	a.actionWG.Add(1)
+	go a.runAction(info, occ, enqueued, a.takeLanes(info.Lanes), key)
+}
+
 // runAction executes one rule action in its own goroutine (one thread per
-// SybaseAction call, Figure 16), gated by its FIFO ticket. The enqueued
-// timestamp is when detection fired the rule; the latency histogram spans
-// queue wait (the FIFO ticket) plus procedure execution.
-func (a *Agent) runAction(rule string, p ActionParam, occ *led.Occ, enqueued time.Time, prev, done chan struct{}, key string) {
-	// Recover is outermost so a simulated crash still releases the FIFO
-	// ticket and the drain waitgroup on its way out.
+// SybaseAction call, Figure 16): it waits for the earlier holders of its
+// lanes, then for a pooled connection. The enqueued timestamp is when
+// detection fired the rule; the wait histogram spans both waits, the
+// latency histogram adds procedure execution.
+func (a *Agent) runAction(info *triggerInfo, occ *led.Occ, enqueued time.Time, t laneTicket, key string) {
+	// Recover is outermost so a simulated crash still releases the lanes
+	// and the drain waitgroup on its way out.
 	defer faults.Recover()
 	defer a.actionWG.Done()
-	defer close(done)
-	if prev != nil {
-		<-prev
+	defer a.releaseLanes(t)
+	for _, w := range t.wait {
+		<-w
 	}
 	if d := a.dur; d != nil {
 		d.crash.Hit("action.preExec")
 	}
-	results, msgs, err := a.actions.invoke(p, occ)
+	rule := info.Name
+	p := ActionParam{StoreProc: info.Proc, EventName: info.Event, Context: info.Context, DB: info.DB}
+	var results []*sqltypes.ResultSet
+	var msgs []string
+	up, err := a.actions.acquire()
+	a.met.actionWait.Observe(a.clock.Now().Sub(enqueued).Seconds())
+	if err == nil {
+		results, msgs, err = a.actions.invoke(up, p, occ)
+		a.actions.release(up)
+	}
 	if d := a.dur; d != nil && key != "" {
 		// Journal completion before anything acknowledges it. Failures
 		// count too: the upstream already retried, what reaches here is
@@ -919,7 +1017,14 @@ func (a *Agent) recover() error {
 			Name: t.Name, DB: t.DB, User: t.User, Event: t.Event, Proc: t.Proc,
 			Coupling: t.Coupling, Context: t.Context, Priority: t.Priority,
 		}
-		if err := a.addLEDRule(info); err != nil {
+		// The action SQL is not persisted; the shadow tables it reads are
+		// recovered from the generated procedure's prologue, so a restarted
+		// agent computes the same lanes as the one that installed the rule.
+		shadows, err := a.pm.actionShadows(t.DB, t.Proc)
+		if err != nil {
+			a.cfg.Logf("agent: recovery: reading procedure %s: %v (its lanes cover the event's tables only)", t.Proc, err)
+		}
+		if err := a.addLEDRule(info, shadows); err != nil {
 			return fmt.Errorf("agent: recovery: rule %s: %w", t.Name, err)
 		}
 		a.triggers[t.Name] = info

@@ -71,7 +71,7 @@ func TestResyncLatencyExactUnderManualClock(t *testing.T) {
 }
 
 // TestActionLatencyExactUnderManualClock: rule-action latency spans the
-// FIFO queue wait plus execution, both measured through the seam.
+// lane and connection wait plus execution, both measured through the seam.
 func TestActionLatencyExactUnderManualClock(t *testing.T) {
 	r := newDurableRig(t)
 	mc := led.NewManualClock(clockBase)

@@ -108,6 +108,29 @@ func genActionProc(procName, contextName string, action string, shadows []Shadow
 	return b.String()
 }
 
+// prologueShadows inverts genActionProc's context prologue: it returns the
+// shadow references whose delete/insert pairs open the procedure text, in
+// prologue order, stopping at the first line that is not part of one.
+func prologueShadows(procSQL string) []ShadowRef {
+	lines := strings.Split(procSQL, "\n")
+	var out []ShadowRef
+	for i := 1; i+1 < len(lines); i += 2 { // line 0 is "create procedure ... as"
+		tmp, ok := strings.CutPrefix(lines[i], "delete ")
+		if !ok || !strings.HasPrefix(lines[i+1], "insert "+tmp+" select s.* from ") {
+			break
+		}
+		base, _ := strings.CutSuffix(tmp, "_tmp")
+		if table, ok := strings.CutSuffix(base, "_inserted"); ok {
+			out = append(out, ShadowRef{Table: table, Op: "inserted"})
+		} else if table, ok := strings.CutSuffix(base, "_deleted"); ok {
+			out = append(out, ShadowRef{Table: table, Op: "deleted"})
+		} else {
+			break
+		}
+	}
+	return out
+}
+
 // genTmpTables generates the one-time creation of _tmp tables for the
 // shadow references (idempotent; skipped when they already exist).
 func genTmpTables(shadows []ShadowRef) []string {

@@ -554,8 +554,9 @@ func (a *Agent) recoverDurable() error {
 }
 
 // resumePending launches every ledger entry the journal could not prove
-// done, in original detection order, through the normal FIFO action
-// path.
+// done, in original detection order, through launchAction — the live
+// path — so resumed actions queue on the same table lanes, in the same
+// order, as they would have before the restart.
 func (a *Agent) resumePending() {
 	d := a.dur
 	d.mu.Lock()
@@ -577,15 +578,8 @@ func (a *Agent) resumePending() {
 			d.markDone(e.key)
 			continue
 		}
-		param := ActionParam{StoreProc: info.Proc, EventName: info.Event, Context: info.Context, DB: info.DB}
 		d.met.resumed.Inc()
-		a.actionWG.Add(1)
-		a.actionMu.Lock()
-		prev := a.actionTail
-		done := make(chan struct{})
-		a.actionTail = done
-		a.actionMu.Unlock()
-		go a.runAction(e.rule, param, e.occ, a.clock.Now(), prev, done, e.key)
+		a.launchAction(info, e.occ, a.clock.Now(), e.key)
 	}
 }
 

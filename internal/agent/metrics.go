@@ -23,9 +23,11 @@ type agentMetrics struct {
 	binaryBatches     *obs.Counter
 
 	// Action Handler path
-	ruleRuns  *obs.CounterVec
-	ruleFails *obs.CounterVec
-	actionSec *obs.Histogram
+	ruleRuns    *obs.CounterVec
+	ruleFails   *obs.CounterVec
+	actionSec   *obs.Histogram
+	actionWait  *obs.Histogram
+	actionConns *obs.Gauge
 
 	// recovery path
 	resyncSweeps *obs.Counter
@@ -104,6 +106,10 @@ func (a *Agent) initMetrics(reg *obs.Registry) {
 		"Failed rule actions, by trigger.", "rule")
 	m.actionSec = reg.Histogram("eca_action_latency_seconds",
 		"Rule action latency from detection (queue) to procedure completion, seconds.", nil)
+	m.actionWait = reg.Histogram("eca_action_wait_seconds",
+		"Rule action wait from detection to start: earlier actions on its table lanes, then a pooled connection, seconds.", nil)
+	m.actionConns = reg.Gauge("eca_action_conns",
+		"Upstream connections in the Action Handler's pool.")
 	m.resyncSweeps = reg.Counter("eca_resync_sweeps_total",
 		"Resync sweeps executed against the authoritative vNo counters.")
 	m.resyncSec = reg.Histogram("eca_resync_seconds",

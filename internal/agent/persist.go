@@ -200,6 +200,22 @@ func (pm *persistentManager) exec(sql string) ([]*sqltypes.ResultSet, error) {
 	return pm.up.Exec(sql)
 }
 
+// actionShadows reads a rule's action procedure back with sp_helptext and
+// returns the shadow tables its context prologue materializes.
+func (pm *persistentManager) actionShadows(db, proc string) ([]ShadowRef, error) {
+	rs, err := pm.up.Exec(fmt.Sprintf("use %s\nexec sp_helptext '%s'", db, sqlEscape(proc)))
+	if err != nil {
+		return nil, err
+	}
+	var text strings.Builder
+	for _, r := range rs {
+		for _, m := range r.Messages {
+			text.WriteString(m)
+		}
+	}
+	return prologueShadows(text.String()), nil
+}
+
 func sqlEscape(s string) string { return strings.ReplaceAll(s, "'", "''") }
 
 func countRows(rs []*sqltypes.ResultSet) int {

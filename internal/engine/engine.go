@@ -8,6 +8,7 @@ package engine
 import (
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -24,17 +25,65 @@ import (
 // a direct function call.
 type Notifier func(host string, port int, msg string) error
 
-// UDPNotifier returns the production Notifier: one UDP datagram per call.
+// UDPNotifier returns the production Notifier: one UDP datagram per call,
+// all sent from one lazily opened socket per address family with the
+// destinations' resolved addresses cached. The socket is unconnected
+// (WriteToUDP): on a connected one, an ICMP port-unreachable from a
+// stopped agent would surface as ECONNREFUSED on a later, unrelated send.
 func UDPNotifier() Notifier {
-	return func(host string, port int, msg string) error {
-		conn, err := net.Dial("udp", net.JoinHostPort(host, fmt.Sprintf("%d", port)))
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		_, err = conn.Write([]byte(msg))
+	n := &udpNotifier{}
+	return n.send
+}
+
+// maxNotifyDests bounds the resolved-destination cache; real deployments
+// notify one agent endpoint, so it is cleared rather than evicted.
+const maxNotifyDests = 256
+
+type udpNotifier struct {
+	mu     sync.Mutex
+	v4, v6 *net.UDPConn            // guarded by mu
+	dests  map[string]*net.UDPAddr // "host:port" → resolved address; guarded by mu
+}
+
+func (n *udpNotifier) send(host string, port int, msg string) error {
+	conn, dst, err := n.route(host, port)
+	if err != nil {
 		return err
 	}
+	_, err = conn.WriteToUDP([]byte(msg), dst)
+	return err
+}
+
+// route resolves the destination (once; a host name's lookup holds the
+// lock only on that first send) and opens the socket for its address
+// family on first use.
+func (n *udpNotifier) route(host string, port int) (*net.UDPConn, *net.UDPAddr, error) {
+	key := net.JoinHostPort(host, strconv.Itoa(port))
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	dst := n.dests[key]
+	if dst == nil {
+		var err error
+		if dst, err = net.ResolveUDPAddr("udp", key); err != nil {
+			return nil, nil, err
+		}
+		if n.dests == nil || len(n.dests) >= maxNotifyDests {
+			n.dests = make(map[string]*net.UDPAddr)
+		}
+		n.dests[key] = dst
+	}
+	network, conn := "udp6", &n.v6
+	if dst.IP == nil || dst.IP.To4() != nil {
+		network, conn = "udp4", &n.v4
+	}
+	if *conn == nil {
+		c, err := net.ListenUDP(network, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		*conn = c
+	}
+	return *conn, dst, nil
 }
 
 // maxTriggerDepth bounds trigger nesting, matching the original server's

@@ -189,7 +189,12 @@ func TestScaleSmoke(t *testing.T) {
 	}
 
 	const rounds = 20
+	// The last insert's action can complete before its reply reaches the
+	// client, so the test waits for the inserter before stopping the
+	// deployment underneath it.
+	inserted := make(chan struct{})
 	go func() {
+		defer close(inserted)
 		conn := d.connect(t, "ops", "load")
 		defer conn.Close()
 		for r := 0; r < rounds; r++ {
@@ -213,6 +218,7 @@ func TestScaleSmoke(t *testing.T) {
 		}
 		counts[res.Rule]++
 	}
+	<-inserted
 	if got := counts["load.ops.cross"]; got != rounds {
 		t.Errorf("cross composite fired %d, want %d", got, rounds)
 	}
