@@ -16,6 +16,8 @@ import (
 	"github.com/activedb/ecaagent/internal/catalog"
 	"github.com/activedb/ecaagent/internal/engine"
 	"github.com/activedb/ecaagent/internal/led"
+	"github.com/activedb/ecaagent/internal/sqltypes"
+	"github.com/activedb/ecaagent/internal/tds"
 )
 
 // This file is the ISSUE 7 performance surface: the GOMAXPROCS-matrixed
@@ -154,6 +156,7 @@ var gatedBenchNames = []string{
 	"decode_binary_batch16",
 	"encode_binary_batch16",
 	"action_prologue_join",
+	"write_results_dml",
 }
 
 // runGatedBenchmarks measures the gated micro-benchmark set with the
@@ -254,6 +257,28 @@ func gatedBench(name string) func(b *testing.B) {
 		}
 	case "action_prologue_join":
 		return prologueJoinBench(1000)
+	case "write_results_dml":
+		// The response to a one-row insert whose native trigger sends
+		// the event notification — the insert's DONE, the trigger's
+		// `select syb_sendmsg(...)` as ROWFMT, ROW, DONE, and DONEFINAL
+		// — encoded to a discarding writer: the wire encoder every hop
+		// of the DML→action loop runs (DESIGN.md §15).
+		return func(b *testing.B) {
+			results := []*sqltypes.ResultSet{
+				{RowsAffected: 1},
+				{
+					Schema: sqltypes.NewSchema(sqltypes.Column{Name: "col1", Type: sqltypes.Int, Nullable: true}),
+					Rows:   []sqltypes.Row{{sqltypes.NewInt(0)}},
+				},
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tds.WriteResults(io.Discard, results, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	case "encode_binary_batch16":
 		return func(b *testing.B) {
 			prims := benchPrims(16)

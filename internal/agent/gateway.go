@@ -263,7 +263,10 @@ func (g *gateway) close() {
 }
 
 // serve handles one client connection: the same login/language loop the
-// server runs, but with the Language Filter in the request path.
+// server runs, but with the Language Filter in the request path. As in
+// the server, the one-packet request is read unbuffered and the response
+// goes out through WriteResults' pooled buffer, so no buffer stays with
+// an idle connection (DESIGN.md §15).
 func (g *gateway) serve(conn net.Conn) {
 	defer func() {
 		conn.Close()

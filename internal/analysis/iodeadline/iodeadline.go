@@ -21,9 +21,16 @@
 // I/O on a conn parameter exports "blocks" (read/write/both) — its
 // callers inherit the obligation; a function that sets a deadline on a
 // conn parameter exports "deadlines" — calling it counts as setting the
-// deadline. That is how tds.ReadPacket(conn) surfaces in
-// internal/server, and how a shared prepareConn helper satisfies the
-// rule at every call site.
+// deadline. That is how a shared prepareConn helper satisfies the rule
+// at every call site.
+//
+// Known limit: facts attach only to conn-typed parameters. A helper that
+// takes an io.Reader or io.Writer exports no fact, so passing a conn to it
+// is not a blocking operation here. internal/server's serveConn hands its
+// conn to tds.ReadPacket and tds.WriteResults, which take io.Reader and
+// io.Writer, and passes unreported with no deadline and no waiver. A
+// bufio reader derived from that conn would be reported at the call, as
+// any derived reader is. The fixture's ioHelperRead pins the limit.
 //
 // Deliberately idle endpoints (a session reader between client
 // commands, a UDP listener) carry //ecavet:allow iodeadline waivers

@@ -75,6 +75,13 @@ func helperPrepared(conn net.Conn, buf []byte) {
 	idhelper.ReadMsg(conn, buf)
 }
 
+// Known limit: a helper over io.Reader carries no fact, so a conn passed
+// to it goes unreported, deadline or not. This is the shape of
+// tds.ReadPacket(conn) in internal/server.
+func ioHelperRead(conn net.Conn, buf []byte) {
+	idhelper.ReadFull(conn, buf)
+}
+
 // Self-contained helpers export no obligation.
 func helperSend(conn net.Conn, p []byte) {
 	idhelper.SendAll(conn, p)

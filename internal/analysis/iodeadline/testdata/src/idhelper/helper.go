@@ -1,10 +1,11 @@
 // Package idhelper sits outside the transport target list: nothing here
 // is reported, but its helpers export facts — ReadMsg blocks on its conn
 // argument (callers owe the deadline), Prepare sets one (calling it
-// satisfies the rule).
+// satisfies the rule). ReadFull, over an io.Reader, exports none.
 package idhelper
 
 import (
+	"io"
 	"net"
 	"time"
 )
@@ -25,5 +26,12 @@ func SendAll(conn net.Conn, p []byte) error {
 		return err
 	}
 	_, err := conn.Write(p)
+	return err
+}
+
+// ReadFull blocks on its reader, but the reader is an io.Reader, not a
+// conn: it exports no fact, whatever its callers pass.
+func ReadFull(r io.Reader, buf []byte) error {
+	_, err := io.ReadFull(r, buf)
 	return err
 }

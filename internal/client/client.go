@@ -4,6 +4,8 @@
 package client
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -61,16 +63,34 @@ func Connect(addr string, opts Options) (*Conn, error) {
 	return &Conn{conn: conn}, nil
 }
 
+// respBufSize sizes the reader Exec reads one response through. The
+// typical response (a DML's DONE tokens, a point select) is well under a
+// hundred bytes, so one read takes it whole; larger responses are read
+// in chunks of this size.
+const respBufSize = 1 << 10
+
 // Exec sends a SQL script (GO-separated batches allowed) and materializes
 // the full response. A server-reported error is returned as
 // *tds.ServerError together with the results that preceded it.
+//
+// The request is one Write. The response is read through a buffered
+// reader that lives only for this call: an idle connection holds no
+// buffer (DESIGN.md §15).
 func (c *Conn) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := tds.WritePacket(c.conn, tds.MarshalLanguage(sql)); err != nil {
 		return nil, err
 	}
-	return tds.ReadResponse(c.conn)
+	br := bufio.NewReaderSize(c.conn, respBufSize)
+	results, err := tds.ReadResponse(br)
+	var srvErr *tds.ServerError
+	if n := br.Buffered(); n > 0 && (err == nil || errors.As(err, &srvErr)) {
+		// The server speaks only when spoken to; bytes past DONEFINAL
+		// would otherwise be dropped with the reader.
+		return results, fmt.Errorf("client: %d unexpected bytes after end of response", n)
+	}
+	return results, err
 }
 
 // MustExec is Exec for program setup paths: it returns only the first

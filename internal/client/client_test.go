@@ -1,8 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -170,5 +173,67 @@ execute p
 go`)
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingConn counts the Writes and Reads issued on a connection.
+type countingConn struct {
+	net.Conn
+	writes, reads int
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.Conn.Read(p)
+}
+
+// A request is one Write, and a small response, which the server writes
+// as one message, is taken in one Read.
+func TestExecOneWritePerRequest(t *testing.T) {
+	addr := startServer(t)
+	c, err := Connect(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.MustExec("create database d use d create table t (a int null, b varchar(10) null)"); err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: c.conn}
+	c.conn = cc
+	for i, sql := range []string{"insert t values (1, 'x')", "select a, b from t where a = 1", "print 'hi'"} {
+		cc.writes, cc.reads = 0, 0
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+		if cc.writes != 1 || cc.reads != 1 {
+			t.Errorf("statement %d: %d writes and %d reads, want 1 and 1", i, cc.writes, cc.reads)
+		}
+	}
+}
+
+// Bytes after DONEFINAL mean the stream is out of step; Exec reports them
+// instead of dropping them with its reader.
+func TestExecRejectsBytesAfterResponse(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	c := &Conn{conn: cli}
+	defer c.Close()
+	go func() {
+		if _, err := tds.ReadPacket(srv); err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		_ = tds.WriteResults(&buf, nil, nil)
+		buf.WriteString("junk")
+		_, _ = srv.Write(buf.Bytes())
+	}()
+	if _, err := c.Exec("select 1"); err == nil || !strings.Contains(err.Error(), "4 unexpected bytes") {
+		t.Fatalf("trailing bytes: got %v", err)
 	}
 }

@@ -269,3 +269,63 @@ go`
 		t.Errorf("row-bearing result sets: %d", rowSets)
 	}
 }
+
+// TestLargeResponseThroughGateway: a result far larger than one write
+// buffer crosses both wire hops (server → agent upstream → gateway →
+// client) in many bounded writes and arrives exactly as a direct query
+// to the server returns it.
+func TestLargeResponseThroughGateway(t *testing.T) {
+	d := startDeployment(t, catalog.New(), "")
+	defer d.stop()
+	const rows = 20000
+	var script strings.Builder
+	script.WriteString("create database big\nuse big\n" +
+		"create table t (n int null, s varchar(40) null, f float null, b bit null, x text null, d datetime null)\n")
+	for i := 0; i < rows; i++ {
+		x := fmt.Sprintf("'text %d'", i*7)
+		if i%5 == 0 {
+			x = "null"
+		}
+		fmt.Fprintf(&script, "insert t values (%d, 'row %d', %d.5, %d, %s, null)\n", i, i, i, i%2, x)
+	}
+	if _, err := d.srv.Engine().NewSession("dbo").ExecScript(script.String()); err != nil {
+		t.Fatal(err)
+	}
+	const q = "print 'before' select * from t select count(*) from t"
+	direct, err := client.Connect(d.srv.Addr(), client.Options{Database: "big"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	want, err := direct.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	via := d.connect(t, "dbo", "big")
+	defer via.Close()
+	got, err := via.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d result sets via the gateway, %d direct", len(got), len(want))
+	}
+	total := 0
+	for i := range want {
+		w, g := want[i], got[i]
+		if fmt.Sprint(w.Schema) != fmt.Sprint(g.Schema) || fmt.Sprint(w.Messages) != fmt.Sprint(g.Messages) ||
+			w.RowsAffected != g.RowsAffected || len(w.Rows) != len(g.Rows) {
+			t.Fatalf("result set %d differs: %v/%q/%d/%d rows vs %v/%q/%d/%d rows", i,
+				g.Schema, g.Messages, g.RowsAffected, len(g.Rows), w.Schema, w.Messages, w.RowsAffected, len(w.Rows))
+		}
+		for r := range w.Rows {
+			if !w.Rows[r].Equal(g.Rows[r]) {
+				t.Fatalf("result set %d row %d: %v via the gateway, %v direct", i, r, g.Rows[r], w.Rows[r])
+			}
+		}
+		total += len(w.Rows)
+	}
+	if total != rows+1 {
+		t.Fatalf("%d rows in all, want %d", total, rows+1)
+	}
+}

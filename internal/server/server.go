@@ -154,7 +154,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 
-	// Request loop.
+	// Request loop. A request is one packet, so it is read straight off
+	// the conn; the response is one Write unless it outgrows WriteResults'
+	// pooled buffer (DESIGN.md §15).
 	for {
 		pkt, err := tds.ReadPacket(conn)
 		if err != nil {

@@ -63,6 +63,9 @@ func (t PacketType) String() string {
 // maxPacketSize bounds a single packet, defending against corrupt streams.
 const maxPacketSize = 64 << 20
 
+// hdrLen is the framing header: type byte plus 4-byte payload length.
+const hdrLen = 5
+
 // Packet is one framed protocol token.
 type Packet struct {
 	Type    PacketType
@@ -70,23 +73,22 @@ type Packet struct {
 }
 
 // WritePacket frames and writes one packet: type byte, 4-byte big-endian
-// payload length, payload.
+// payload length, payload. Header and payload go out in one Write, so a
+// packet is one TCP segment on a TCP_NODELAY connection rather than two.
 func WritePacket(w io.Writer, p Packet) error {
-	if len(p.Payload) > maxPacketSize {
-		return fmt.Errorf("tds: packet too large (%d bytes)", len(p.Payload))
-	}
-	hdr := [5]byte{byte(p.Type)}
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(p.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	f := newFrameWriter(w)
+	defer f.release()
+	at := f.begin(p.Type)
+	f.e.buf = append(f.e.buf, p.Payload...)
+	if err := f.end(at); err != nil {
 		return err
 	}
-	_, err := w.Write(p.Payload)
-	return err
+	return f.flush()
 }
 
 // ReadPacket reads one framed packet.
 func ReadPacket(r io.Reader) (Packet, error) {
-	var hdr [5]byte
+	var hdr [hdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Packet{}, err
 	}
@@ -254,6 +256,11 @@ func UnmarshalLanguage(p Packet) (string, error) {
 // MarshalRowFmt encodes a result schema.
 func MarshalRowFmt(s *sqltypes.Schema) Packet {
 	var e encoder
+	e.rowFmt(s)
+	return Packet{Type: PktRowFmt, Payload: e.buf}
+}
+
+func (e *encoder) rowFmt(s *sqltypes.Schema) {
 	e.uvarint(uint64(s.Len()))
 	for _, c := range s.Columns {
 		e.str(c.Name)
@@ -265,7 +272,6 @@ func MarshalRowFmt(s *sqltypes.Schema) Packet {
 			e.byte(0)
 		}
 	}
-	return Packet{Type: PktRowFmt, Payload: e.buf}
 }
 
 // UnmarshalRowFmt decodes a result schema.
@@ -311,6 +317,11 @@ func UnmarshalRowFmt(p Packet) (*sqltypes.Schema, error) {
 // MarshalRow encodes one result row.
 func MarshalRow(r sqltypes.Row) Packet {
 	var e encoder
+	e.row(r)
+	return Packet{Type: PktRow, Payload: e.buf}
+}
+
+func (e *encoder) row(r sqltypes.Row) {
 	e.uvarint(uint64(len(r)))
 	for _, v := range r {
 		e.byte(byte(v.Kind()))
@@ -326,7 +337,6 @@ func MarshalRow(r sqltypes.Row) Packet {
 			e.varint(v.Time().UnixMilli())
 		}
 	}
-	return Packet{Type: PktRow, Payload: e.buf}
 }
 
 // UnmarshalRow decodes one result row.

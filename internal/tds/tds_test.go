@@ -184,25 +184,6 @@ func TestReadResponseTransportError(t *testing.T) {
 	}
 }
 
-func TestCopyResponse(t *testing.T) {
-	var src, dst bytes.Buffer
-	results := []*sqltypes.ResultSet{{
-		Schema:   sqltypes.NewSchema(sqltypes.Column{Name: "n", Type: sqltypes.Int, Nullable: true}),
-		Rows:     []sqltypes.Row{{sqltypes.NewInt(42)}},
-		Messages: []string{"m"},
-	}}
-	if err := WriteResults(&src, results, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := CopyResponse(&dst, &src); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadResponse(&dst)
-	if err != nil || len(got) != 1 || got[0].Rows[0][0].Int() != 42 {
-		t.Errorf("copied response: %+v %v", got, err)
-	}
-}
-
 func TestPacketTypeString(t *testing.T) {
 	for _, pt := range []PacketType{PktLogin, PktLoginAck, PktLanguage, PktRowFmt, PktRow, PktInfo, PktError, PktDone, PktDoneFinal, PacketType(0x55)} {
 		if pt.String() == "" {
