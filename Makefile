@@ -128,24 +128,24 @@ action-lanes:
 
 # Short fuzzing passes over the notification decoders, the Snoop parser,
 # the checkpoint/journal decoders, the engine's SELECT against its
-# nested-loop reference, and the wire response decoder's buffered path
-# against its unbuffered one (seed corpora always run under plain `make
-# test`; this explores further).
+# nested-loop reference, the wire response decoder's buffered path
+# against its unbuffered one, and the replication frame decoder (seed
+# corpora always run under plain `make test`; this explores further).
 fuzz:
 	$(GO) test -fuzz=FuzzParseNotification -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/agent
-	$(GO) test -fuzz=FuzzBinaryDecode -fuzztime=10s ./internal/agent
-	$(GO) test -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/snoop
 	$(GO) test -fuzz=FuzzSelectPushdown -fuzztime=10s ./internal/engine
 	$(GO) test -fuzz=FuzzReadResponse -fuzztime=10s ./internal/tds
+	$(GO) test -fuzz=FuzzDecodeReplFrame -fuzztime=10s ./internal/cluster
 
 # Sharding ablation: concurrent detection throughput, single-lock vs
-# sharded LED (see EXPERIMENTS.md). BENCH_OUT parametrizes the output so
-# ad-hoc runs do not clobber the committed BENCH_PR3.json.
-BENCH_OUT ?= BENCH_PR3.json
+# sharded LED (see EXPERIMENTS.md). BENCH_OUT parametrizes the output; the
+# git-ignored default keeps ad-hoc runs from clobbering the committed
+# BENCH_PR3.json (pass BENCH_OUT=BENCH_PR3.json to re-record it).
+BENCH_OUT ?= BENCH_PR3.fresh.json
 bench-json:
 	$(GO) run ./cmd/ecabench -exp parallel -bench-json $(BENCH_OUT)
 

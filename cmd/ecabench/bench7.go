@@ -153,8 +153,6 @@ var gatedBenchNames = []string{
 	"signal_warm",
 	"parse_text_line",
 	"decode_text_batch16",
-	"decode_binary_batch16",
-	"encode_binary_batch16",
 	"action_prologue_join",
 	"write_results_dml",
 }
@@ -236,25 +234,6 @@ func gatedBench(name string) func(b *testing.B) {
 		return textDecodeBench([]byte("ECA1|db.u.ev|db.u.tbl|insert|42"), 1)
 	case "decode_text_batch16":
 		return textDecodeBench(textBatch(16), 16)
-	case "decode_binary_batch16":
-		return func(b *testing.B) {
-			buf, err := agent.EncodeBinaryBatch(benchPrims(16))
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink := 0
-			emit := func(p led.Primitive) { sink += p.VNo }
-			if _, err := agent.DecodeBinaryBatch(buf, emit); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := agent.DecodeBinaryBatch(buf, emit); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
 	case "action_prologue_join":
 		return prologueJoinBench(1000)
 	case "write_results_dml":
@@ -275,22 +254,6 @@ func gatedBench(name string) func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := tds.WriteResults(io.Discard, results, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	case "encode_binary_batch16":
-		return func(b *testing.B) {
-			prims := benchPrims(16)
-			buf, err := agent.EncodeBinaryBatch(prims)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst := make([]byte, 0, 2*len(buf))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := agent.AppendBinaryBatch(dst[:0], prims); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -364,14 +327,6 @@ func textDecodeBench(datagram []byte, want int) func(b *testing.B) {
 			}
 		}
 	}
-}
-
-func benchPrims(n int) []led.Primitive {
-	prims := make([]led.Primitive, n)
-	for i := range prims {
-		prims[i] = led.Primitive{Event: "db.u.ev", Table: "db.u.tbl", Op: "insert", VNo: i + 1}
-	}
-	return prims
 }
 
 func textBatch(n int) []byte {

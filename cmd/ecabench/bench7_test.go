@@ -7,8 +7,8 @@ import (
 
 func baselineGated() map[string]gatedMetric {
 	return map[string]gatedMetric{
-		"signal_warm":           {NsPerOp: 1000, AllocsPerOp: 1, BytesPerOp: 64},
-		"decode_binary_batch16": {NsPerOp: 500, AllocsPerOp: 0, BytesPerOp: 0},
+		"signal_warm":         {NsPerOp: 1000, AllocsPerOp: 1, BytesPerOp: 64},
+		"decode_text_batch16": {NsPerOp: 500, AllocsPerOp: 0, BytesPerOp: 0},
 	}
 }
 
@@ -30,7 +30,7 @@ func TestGateFailsOnFifteenPercentRegression(t *testing.T) {
 // Any allocs/op increase fails regardless of threshold.
 func TestGateFailsOnAnyAllocIncrease(t *testing.T) {
 	fresh := baselineGated()
-	fresh["decode_binary_batch16"] = gatedMetric{NsPerOp: 400, AllocsPerOp: 1, BytesPerOp: 16}
+	fresh["decode_text_batch16"] = gatedMetric{NsPerOp: 400, AllocsPerOp: 1, BytesPerOp: 16}
 	violations := compareGate(baselineGated(), fresh, 1.0, 1.0)
 	if len(violations) != 1 || !strings.Contains(violations[0], "allocs/op") {
 		t.Fatalf("want one allocs/op violation, got %v", violations)
@@ -40,8 +40,8 @@ func TestGateFailsOnAnyAllocIncrease(t *testing.T) {
 // Noise within the threshold, faster runs, and alloc decreases all pass.
 func TestGatePassesWithinBudget(t *testing.T) {
 	fresh := map[string]gatedMetric{
-		"signal_warm":           {NsPerOp: 1090, AllocsPerOp: 1, BytesPerOp: 64},
-		"decode_binary_batch16": {NsPerOp: 300, AllocsPerOp: 0, BytesPerOp: 0},
+		"signal_warm":         {NsPerOp: 1090, AllocsPerOp: 1, BytesPerOp: 64},
+		"decode_text_batch16": {NsPerOp: 300, AllocsPerOp: 0, BytesPerOp: 0},
 	}
 	if v := compareGate(baselineGated(), fresh, 0.10, 1.0); len(v) != 0 {
 		t.Fatalf("within-budget run failed the gate: %v", v)
@@ -53,8 +53,8 @@ func TestGatePassesWithinBudget(t *testing.T) {
 // a real regression on top of the drift still fails.
 func TestGateCalibrationCancelsHostDrift(t *testing.T) {
 	fresh := map[string]gatedMetric{
-		"signal_warm":           {NsPerOp: 2000, AllocsPerOp: 1, BytesPerOp: 64},
-		"decode_binary_batch16": {NsPerOp: 1000, AllocsPerOp: 0, BytesPerOp: 0},
+		"signal_warm":         {NsPerOp: 2000, AllocsPerOp: 1, BytesPerOp: 64},
+		"decode_text_batch16": {NsPerOp: 1000, AllocsPerOp: 0, BytesPerOp: 0},
 	}
 	if v := compareGate(baselineGated(), fresh, 0.10, 2.0); len(v) != 0 {
 		t.Fatalf("2x drift with scale=2.0 should pass, got %v", v)

@@ -146,72 +146,44 @@ func (a *Agent) routeKey(event string) int {
 	return int(h & 0x7fffffff)
 }
 
-// DeliverBatchBytes ingests one datagram that may carry several
-// notifications — either the newline-batched text form the generated
-// triggers emit or one ECB1 binary frame (notifcodec.go), sniffed by
-// magic. Notifications are decoded, grouped by the LED shard of their
-// event, and handed to the ingest worker pool so independent shards are
-// signalled concurrently; with the pool disabled (Config.IngestWorkers <
-// 0) every notification is ingested synchronously, in wire order, exactly
-// like repeated Deliver calls.
+// DeliverBatchBytes ingests one datagram of newline-batched text
+// notifications, the form the generated triggers' syb_sendmsg calls emit.
+// Notifications are decoded, grouped by the LED shard of their event, and
+// handed to the ingest worker pool so independent shards are signalled
+// concurrently; with the pool disabled (Config.IngestWorkers < 0) every
+// notification is ingested synchronously, in wire order, exactly like
+// repeated Deliver calls. Malformed lines are logged and counted as
+// dropped on both paths.
 //
 // The caller keeps ownership of data — nothing in the decode retains it
 // (names are interned, occurrences copied) — which is what lets the
 // notifier hand its one receive buffer straight in.
 func (a *Agent) DeliverBatchBytes(data []byte) {
 	a.waitReady()
-	binary := IsBinaryBatch(data)
-	if binary {
-		a.met.binaryBatches.Inc()
-	}
-	if a.ingestPool == nil {
-		var good, bad int
-		if binary {
-			n, err := decodeBinaryBatch(data, &wireNames, a.ingest)
-			good = n
-			if err != nil {
-				bad = 1
-				a.cfg.Logf("agent: dropping binary batch: %v", err)
+	emit := a.ingest
+	var scr *batchScratch
+	if a.ingestPool != nil {
+		scr = batchScratchPool.Get().(*batchScratch)
+		emit = func(p led.Primitive) {
+			key := a.routeKey(p.Event)
+			pb, ok := scr.batches[key]
+			if !ok {
+				pb = getPrimBatch()
+				//ecavet:allow poolleak ownership transfers with the batch: submit hands it to the shard worker, which recycles it via putPrimBatch
+				scr.batches[key] = pb
+				scr.keys = append(scr.keys, key)
 			}
-		} else {
-			good, bad = decodeText(data, a.ingest, func(err error) {
-				a.cfg.Logf("agent: dropping notification: %v", err)
-			})
+			pb.ps = append(pb.ps, p)
 		}
-		a.ctr.notifReceived.Add(uint64(good + bad))
-		a.ctr.notifDropped.Add(uint64(bad))
-		return
 	}
-
-	scr := batchScratchPool.Get().(*batchScratch)
-	emit := func(p led.Primitive) {
-		key := a.routeKey(p.Event)
-		pb, ok := scr.batches[key]
-		if !ok {
-			pb = getPrimBatch()
-			//ecavet:allow poolleak ownership transfers with the batch: submit hands it to the shard worker, which recycles it via putPrimBatch
-			scr.batches[key] = pb
-			scr.keys = append(scr.keys, key)
-		}
-		pb.ps = append(pb.ps, p)
-	}
-	var good, bad int
-	if binary {
-		n, err := decodeBinaryBatch(data, &wireNames, emit)
-		good = n
-		if err != nil {
-			// The frame fails as a unit (decode validates before the first
-			// emit), so one dropped datagram, nothing routed.
-			bad = 1
-			a.cfg.Logf("agent: dropping binary batch: %v", err)
-		}
-	} else {
-		good, bad = decodeText(data, emit, func(err error) {
-			a.cfg.Logf("agent: dropping notification: %v", err)
-		})
-	}
+	good, bad := decodeText(data, emit, func(err error) {
+		a.cfg.Logf("agent: dropping notification: %v", err)
+	})
 	a.ctr.notifReceived.Add(uint64(good + bad))
 	a.ctr.notifDropped.Add(uint64(bad))
+	if scr == nil {
+		return
+	}
 	for _, key := range scr.keys {
 		a.ingestPool.submit(key, scr.batches[key])
 		delete(scr.batches, key)
@@ -228,8 +200,8 @@ func (a *Agent) DeliverBatch(datagram string) {
 // DecodeBatchBytes decodes a newline-batched text datagram through the
 // process-wide name table, calling emit per decoded notification and
 // onErr per malformed line; it returns the good and bad line counts. The
-// exported, allocation-free counterpart of DeliverBatch for routers and
-// benchmarks that decode without delivering.
+// exported, allocation-free counterpart of DeliverBatch for benchmarks
+// that decode without delivering.
 func DecodeBatchBytes(data []byte, emit func(led.Primitive), onErr func(error)) (good, bad int) {
 	return decodeText(data, emit, onErr)
 }

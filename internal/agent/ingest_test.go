@@ -8,60 +8,76 @@ import (
 )
 
 // TestDeliverBatchMultiLine: one datagram carrying several newline-separated
-// notifications — for two independent events plus one malformed line — must
-// deliver every well-formed occurrence and count the bad one dropped.
+// notifications — for two independent events, plus a malformed line, a
+// blank line and a line of binary bytes — must deliver every well-formed
+// occurrence and count the two bad lines dropped. The pooled and the
+// synchronous ingest paths share one decode, so both must agree exactly.
 func TestDeliverBatchMultiLine(t *testing.T) {
-	r := newChaosRig(t, nil, nil)
-	cs := r.session(t, "sharma", "sentineldb")
-	if _, err := cs.Exec("create trigger t1 on stock for insert event addStk as print 'x'"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Exec("create trigger t2 on audit for insert event addAud as print 'y'"); err != nil {
-		t.Fatal(err)
-	}
 	stk, stkTbl := "sentineldb.sharma.addStk", "sentineldb.sharma.stock"
 	aud, audTbl := "sentineldb.sharma.addAud", "sentineldb.sharma.audit"
-
-	if r.agent.ingestPool == nil {
-		t.Fatal("ingest pool should be on by default")
-	}
 	datagram := strings.Join([]string{
 		notifMsg(stk, stkTbl, "insert", 1),
 		notifMsg(aud, audTbl, "insert", 1),
 		"ECA1|not|enough", // malformed: dropped, not fatal to the batch
+		"",                // blank lines are ignored
+		// The head of a frame in the retired binary batch format: one
+		// more malformed line, not a second wire format.
+		"ECB1\x02\x00\x07db.u.ev\x08db.u.tbl\x06insert\x01",
 		notifMsg(stk, stkTbl, "insert", 2),
-		"", // blank lines (trailing newline) are ignored
+		"", // a trailing newline
 	}, "\n")
-	r.agent.DeliverBatch(datagram)
-	r.agent.WaitIngest()
-	r.agent.WaitActions()
+	for _, tc := range []struct {
+		name    string
+		workers int
+		pooled  bool
+	}{
+		{"pooled", 0, true},
+		{"synchronous", -1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newChaosRig(t, nil, func(c *Config) { c.IngestWorkers = tc.workers })
+			if pooled := r.agent.ingestPool != nil; pooled != tc.pooled {
+				t.Fatalf("ingest pool on = %v, want %v", pooled, tc.pooled)
+			}
+			cs := r.session(t, "sharma", "sentineldb")
+			if _, err := cs.Exec("create trigger t1 on stock for insert event addStk as print 'x'"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cs.Exec("create trigger t2 on audit for insert event addAud as print 'y'"); err != nil {
+				t.Fatal(err)
+			}
+			r.agent.DeliverBatch(datagram)
+			r.agent.WaitIngest()
+			r.agent.WaitActions()
 
-	var got []string
-	for i := 0; i < 3; i++ {
-		res := waitAction(t, r.agent)
-		if res.Err != nil {
-			t.Fatalf("action %d: %v", i, res.Err)
-		}
-		c := res.Occ.Constituents[0]
-		got = append(got, fmt.Sprintf("%s:%d", c.Event, c.VNo))
-	}
-	want := map[string]bool{stk + ":1": true, stk + ":2": true, aud + ":1": true}
-	for _, g := range got {
-		if !want[g] {
-			t.Errorf("unexpected occurrence %s", g)
-		}
-		delete(want, g)
-	}
-	for miss := range want {
-		t.Errorf("missing occurrence %s", miss)
-	}
+			var got []string
+			for i := 0; i < 3; i++ {
+				res := waitAction(t, r.agent)
+				if res.Err != nil {
+					t.Fatalf("action %d: %v", i, res.Err)
+				}
+				c := res.Occ.Constituents[0]
+				got = append(got, fmt.Sprintf("%s:%d", c.Event, c.VNo))
+			}
+			want := map[string]bool{stk + ":1": true, stk + ":2": true, aud + ":1": true}
+			for _, g := range got {
+				if !want[g] {
+					t.Errorf("unexpected occurrence %s", g)
+				}
+				delete(want, g)
+			}
+			for miss := range want {
+				t.Errorf("missing occurrence %s", miss)
+			}
 
-	st := r.agent.Stats()
-	if st.NotificationsReceived != 4 {
-		t.Errorf("NotificationsReceived = %d, want 4", st.NotificationsReceived)
-	}
-	if st.NotificationsDropped != 1 {
-		t.Errorf("NotificationsDropped = %d, want 1", st.NotificationsDropped)
+			st := r.agent.Stats()
+			if st.NotificationsReceived != 5 {
+				t.Errorf("NotificationsReceived = %d, want 5", st.NotificationsReceived)
+			}
+			if st.NotificationsDropped != 2 {
+				t.Errorf("NotificationsDropped = %d, want 2", st.NotificationsDropped)
+			}
+		})
 	}
 }
 

@@ -20,7 +20,6 @@ type agentMetrics struct {
 	// Event Notifier receive path
 	notifierDatagrams *obs.Counter
 	notifierBytes     *obs.Counter
-	binaryBatches     *obs.Counter
 
 	// Action Handler path
 	ruleRuns    *obs.CounterVec
@@ -98,8 +97,6 @@ func (a *Agent) initMetrics(reg *obs.Registry) {
 		"Raw datagrams read from the UDP notification socket.")
 	m.notifierBytes = reg.Counter("eca_notifier_bytes_total",
 		"Raw bytes read from the UDP notification socket.")
-	m.binaryBatches = reg.Counter("eca_binary_batches_total",
-		"ECB1 binary notification batches delivered (UDP or in-process).")
 	m.ruleRuns = reg.CounterVec("eca_rule_runs_total",
 		"Completed rule actions, by trigger.", "rule")
 	m.ruleFails = reg.CounterVec("eca_rule_failures_total",

@@ -1,13 +1,19 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/activedb/ecaagent/internal/agent"
+	"github.com/activedb/ecaagent/internal/catalog"
+	"github.com/activedb/ecaagent/internal/engine"
 	"github.com/activedb/ecaagent/internal/obs"
 )
 
@@ -230,6 +236,73 @@ func TestRouterBadLineDeadLetters(t *testing.T) {
 	}
 	if dls := r.DeadLetters(); len(dls) != 1 || dls[0].Datagram != "garbage|line" {
 		t.Fatalf("dead letters = %+v", dls)
+	}
+}
+
+// A well-formed frame of the retired binary batch format (magic, count
+// uint16, uvarint-prefixed event/table/op and vNo, CRC-32) carries no
+// notification for the router or the agent: each of its '\n'-separated
+// pieces is an unparseable line. The router dead-letters every piece,
+// still forwards the text line behind the frame, and the agent, given
+// the same bytes, drops exactly the pieces the router dead-lettered.
+func TestRouterBinaryFrameIsUnparseable(t *testing.T) {
+	frame := []byte("ECB1")
+	frame = binary.LittleEndian.AppendUint16(frame, 1)
+	// A 10-byte event name puts a '\n' (its length prefix) inside the frame.
+	for _, f := range []string{"db.u.evt10", "db.u.ta", "insert"} {
+		frame = binary.AppendUvarint(frame, uint64(len(f)))
+		frame = append(frame, f...)
+	}
+	frame = binary.AppendUvarint(frame, 1)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+	var pieces []string
+	for _, p := range bytes.Split(frame, []byte("\n")) {
+		if len(p) > 0 {
+			pieces = append(pieces, string(p))
+		}
+	}
+	if len(pieces) < 2 {
+		t.Fatalf("frame %q should span several lines", frame)
+	}
+	datagram := string(frame) + "\n" + notif("ea")
+
+	met := NewMetrics(obs.NewRegistry())
+	r, a, _ := newTestRouter(met)
+	r.ApplyRoute("node-a", []string{"ea"})
+	if err := r.Route(datagram); err == nil {
+		t.Fatal("dead-lettered frame must surface in the route result")
+	}
+	if got := a.delivered(); len(got) != 1 || got[0] != notif("ea") {
+		t.Fatalf("delivered = %q, want only the text line", got)
+	}
+	if got := met.RouteBad.Value(); got != uint64(len(pieces)) {
+		t.Errorf("bad counter = %d, want %d", got, len(pieces))
+	}
+	dls := r.DeadLetters()
+	if len(dls) != len(pieces) {
+		t.Fatalf("%d dead letters for %d frame pieces: %+v", len(dls), len(pieces), dls)
+	}
+	for i, dl := range dls {
+		if dl.Datagram != pieces[i] || dl.Reason != "unparseable notification" {
+			t.Errorf("dead letter %d = %+v, want piece %q as unparseable", i, dl, pieces[i])
+		}
+	}
+
+	ag, err := agent.New(agent.Config{
+		Dial:          agent.LocalDialer(engine.New(catalog.New())),
+		NotifyAddr:    "-",
+		IngestWorkers: -1,
+		Logf:          func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ag.Close()
+	ag.DeliverBatchBytes([]byte(datagram))
+	st := ag.Stats()
+	if st.NotificationsDropped != uint64(len(pieces)) || st.NotificationsReceived != uint64(len(pieces)+1) {
+		t.Errorf("agent received %d dropped %d, want %d/%d",
+			st.NotificationsReceived, st.NotificationsDropped, len(pieces)+1, len(pieces))
 	}
 }
 

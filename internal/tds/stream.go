@@ -236,8 +236,8 @@ func readToken(r io.Reader) (Packet, error) {
 		if _, err := br.Discard(hdrLen); err != nil {
 			return Packet{}, err
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		payload, err := readPayload(br, int(n))
+		if err != nil {
 			return Packet{}, err
 		}
 		return Packet{Type: t, Payload: payload}, nil

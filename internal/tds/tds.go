@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/activedb/ecaagent/internal/sqltypes"
@@ -96,11 +97,36 @@ func ReadPacket(r io.Reader) (Packet, error) {
 	if n > maxPacketSize {
 		return Packet{}, fmt.Errorf("tds: packet length %d exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return Packet{}, err
 	}
 	return Packet{Type: PacketType(hdr[0]), Payload: payload}, nil
+}
+
+// payloadChunk caps what readPayload allocates ahead of the bytes that
+// fill it.
+const payloadChunk = 64 << 10
+
+// readPayload reads exactly n payload bytes. The declared length comes
+// from the peer, so the buffer is not sized from it up front: it starts
+// at one chunk and doubles only as bytes arrive, so a header that
+// declares maxPacketSize and then ends costs one chunk, not 64 MiB.
+// Errors match io.ReadFull's: io.EOF when no payload byte arrived,
+// io.ErrUnexpectedEOF after a partial payload.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, payloadChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, unexpectedEOF(err, len(buf) > 0)
+		}
+	}
+	return buf, nil
 }
 
 // --- payload encoding helpers ---
@@ -152,7 +178,8 @@ func (d *decoder) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if d.pos+int(n) > len(d.buf) {
+	// Compare in uint64: a huge declared length would wrap int(n).
+	if n > uint64(len(d.buf)-d.pos) {
 		return "", fmt.Errorf("tds: truncated string")
 	}
 	s := string(d.buf[d.pos : d.pos+int(n)])

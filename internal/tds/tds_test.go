@@ -1,9 +1,14 @@
 package tds
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -40,6 +45,65 @@ func TestPacketTruncation(t *testing.T) {
 	bad := []byte{byte(PktLanguage), 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := ReadPacket(bytes.NewReader(bad)); err == nil {
 		t.Error("oversized packet accepted")
+	}
+}
+
+// packetReaders are the two packet read paths: ReadPacket, and readToken over a
+// bufio.Reader too small to hold the payload (its large-packet branch).
+var packetReaders = []struct {
+	name string
+	read func([]byte) (Packet, error)
+}{
+	{"ReadPacket", func(b []byte) (Packet, error) { return ReadPacket(bytes.NewReader(b)) }},
+	{"readToken", func(b []byte) (Packet, error) { return readToken(bufio.NewReader(bytes.NewReader(b))) }},
+}
+
+// A header declaring the largest legal payload, then end of stream, must
+// fail without allocating anywhere near the declared length: the payload
+// buffer grows with the bytes that arrive, not with what the peer claims.
+func TestPacketDeclaredLengthNotPreallocated(t *testing.T) {
+	hdr := make([]byte, hdrLen)
+	hdr[0] = byte(PktRow)
+	binary.BigEndian.PutUint32(hdr[1:], maxPacketSize)
+	for _, pr := range packetReaders {
+		const runs = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := pr.read(hdr); err != io.EOF {
+				t.Fatalf("%s: header then EOF: err = %v, want io.EOF", pr.name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
+			t.Errorf("%s allocated %d bytes per read for a payload that never arrived", pr.name, per)
+		}
+	}
+}
+
+// Payloads larger than one read chunk round-trip byte-exact, and a payload
+// torn at or inside a chunk boundary fails as io.ErrUnexpectedEOF.
+func TestPacketLargePayload(t *testing.T) {
+	payload := make([]byte, 3*payloadChunk+123)
+	rand.New(rand.NewSource(1)).Read(payload)
+	var buf bytes.Buffer
+	if err := WritePacket(&buf, Packet{Type: PktRow, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for _, pr := range packetReaders {
+		p, err := pr.read(data)
+		if err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+		if p.Type != PktRow || !bytes.Equal(p.Payload, payload) {
+			t.Errorf("%s: payload of %d bytes did not round-trip", pr.name, len(payload))
+		}
+		for _, cut := range []int{1, payloadChunk, payloadChunk + 1, 2 * payloadChunk, len(payload) - 1} {
+			if _, err := pr.read(data[:hdrLen+cut]); err != io.ErrUnexpectedEOF {
+				t.Errorf("%s: payload torn after %d bytes: err = %v, want io.ErrUnexpectedEOF", pr.name, cut, err)
+			}
+		}
 	}
 }
 
